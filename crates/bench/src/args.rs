@@ -170,7 +170,7 @@ pub fn parse_fleet_args(args: &[String], defaults: FleetArgs) -> Result<FleetArg
 
 /// The `jsceresd`-only flag set, peeled off *before* the shared fleet
 /// flags: serving topology (address, queue/cache bounds, shard count),
-/// persistence directories, and backend selection. Everything the shared
+/// persistence directories, and worker mode. Everything the shared
 /// parser recognizes passes through in `rest`. All flags are documented
 /// operator-facing in `docs/OPERATIONS.md`.
 #[derive(Debug, Clone, Default)]
@@ -180,9 +180,6 @@ pub struct DaemonArgs {
     /// `--worker`: run as an analysis worker process over stdin/stdout
     /// instead of a TCP daemon (spawned by the supervisor, not by hand).
     pub worker: bool,
-    /// `--in-process`: run jobs on in-process threads instead of worker
-    /// processes (the pre-supervisor behavior; loses crash isolation).
-    pub in_process: bool,
     /// `--queue-cap N`: in-memory job-ring bound (overflow spills).
     pub queue_capacity: Option<usize>,
     /// `--parse-workers N`: parse-stage threads (the pipeline front
@@ -228,10 +225,6 @@ pub fn parse_daemon_args(args: &[String]) -> Result<DaemonArgs, String> {
             }
             "--worker" => {
                 d.worker = true;
-                i += 1;
-            }
-            "--in-process" => {
-                d.in_process = true;
                 i += 1;
             }
             "--queue-cap" => {
@@ -400,7 +393,7 @@ mod tests {
             "/tmp/ceres-cache",
             "--spill-dir",
             "/tmp/ceres-spill",
-            "--in-process",
+            "--worker",
             "--mode",
             "dep",
             "--seed",
@@ -413,8 +406,7 @@ mod tests {
         assert_eq!(d.cache_shards, Some(4));
         assert_eq!(d.cache_dir.as_deref(), Some("/tmp/ceres-cache"));
         assert_eq!(d.spill_dir.as_deref(), Some("/tmp/ceres-spill"));
-        assert!(d.in_process);
-        assert!(!d.worker);
+        assert!(d.worker);
         assert_eq!(d.rest, sv(&["--mode", "dep", "--seed", "9"]));
         let f = parse_fleet_args(&d.rest, FleetArgs::default()).unwrap();
         assert_eq!(f.mode, Mode::Dependence);

@@ -9,8 +9,6 @@
 //!   --parse-workers <n>     parse-stage threads: the pipeline front
 //!                           half, overlapping one job's parse with
 //!                           another's interp (default 2)
-//!   --in-process            run jobs on in-process threads instead of
-//!                           worker processes (no crash isolation)
 //!   --worker                run as a worker process over stdin/stdout
 //!                           (spawned by the supervisor, not by hand)
 //!   --queue-cap <n>         in-memory job-ring capacity (default 64);
@@ -42,11 +40,10 @@
 //! are content-addressed: a repeated request is served byte-identically
 //! from the cache without re-entering the interpreter.
 //!
-//! By default the daemon re-executes itself `--workers` times in
-//! `--worker` mode and runs every job in one of those processes; a
-//! worker crash costs one job and a supervised restart, never the
-//! daemon. Deployment, failure drills, and the full lifecycle are in
-//! `docs/OPERATIONS.md`.
+//! The daemon re-executes itself `--workers` times in `--worker` mode
+//! and runs every job in one of those processes; a worker crash costs
+//! one job and a supervised restart, never the daemon. Deployment,
+//! failure drills, and the full lifecycle are in `docs/OPERATIONS.md`.
 //!
 //! The daemon prints `listening on ADDR` once ready and exits 0 after a
 //! client sends `{"op":"shutdown"}` (or SIGTERM/SIGINT arrives) and the
@@ -63,8 +60,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 fn usage() -> ! {
     eprintln!(
         "usage: jsceresd [--addr HOST:PORT] [--workers N] [--parse-workers N]\n\
-         \x20               [--in-process] [--worker]\n\
-         \x20               [--queue-cap N] [--spill-dir DIR]\n\
+         \x20               [--worker] [--queue-cap N] [--spill-dir DIR]\n\
          \x20               [--cache-cap N] [--cache-shards N] [--cache-dir DIR]\n\
          \x20               [--mode light|loop|dep] [--seed N] [--watchdog-ticks N]\n\
          \x20               [--watchdog-wall-ms N] [--deterministic]"
@@ -75,7 +71,6 @@ fn usage() -> ! {
 struct DaemonOptions {
     addr: String,
     worker: bool,
-    in_process: bool,
     config: ServeConfig,
 }
 
@@ -127,7 +122,6 @@ fn parse_args() -> DaemonOptions {
     DaemonOptions {
         addr: daemon.addr,
         worker: daemon.worker,
-        in_process: daemon.in_process,
         config,
     }
 }
@@ -189,7 +183,7 @@ fn install_signal_drain(drain: ceres_core::DrainHandle) {
 fn install_signal_drain(_drain: ceres_core::DrainHandle) {}
 
 fn main() {
-    let mut opts = parse_args();
+    let opts = parse_args();
     let policy = opts.config.policy.clone();
 
     if opts.worker {
@@ -205,22 +199,16 @@ fn main() {
         }
     }
 
-    if !opts.in_process {
-        match std::env::current_exe() {
-            Ok(exe) => {
-                opts.config.worker_spec = Some(WorkerSpec {
-                    args: worker_args(&opts.config),
-                    program: exe,
-                });
-            }
-            Err(e) => {
-                eprintln!(
-                    "jsceresd: cannot locate own binary for worker processes ({e}); \
-                     falling back to in-process execution"
-                );
-            }
+    let spec = match std::env::current_exe() {
+        Ok(program) => WorkerSpec {
+            args: worker_args(&opts.config),
+            program,
+        },
+        Err(e) => {
+            eprintln!("jsceresd: cannot locate own binary for worker processes: {e}");
+            std::process::exit(1);
         }
-    }
+    };
 
     let listener = match TcpListener::bind(&opts.addr) {
         Ok(l) => l,
@@ -229,16 +217,11 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let backend = if opts.config.worker_spec.is_some() {
-        "process"
-    } else {
-        "in-process"
-    };
     let workers = opts.config.workers;
-    let handle = serve(listener, opts.config, registry_resolver(policy));
+    let handle = serve(listener, opts.config, registry_resolver(policy), spec);
     install_signal_drain(handle.drain_handle());
     eprintln!(
-        "jsceresd: pid {} serving with {workers} {backend} worker(s)",
+        "jsceresd: pid {} serving with {workers} process worker(s)",
         std::process::id()
     );
     println!("listening on {}", handle.local_addr());

@@ -552,8 +552,7 @@ pub struct ServeCounters {
     /// Cumulative virtual interpreter ticks spent across all served jobs.
     /// Unchanged across a warm hit — the zero-new-ticks proof.
     pub interp_ticks: u64,
-    /// Worker *processes* restarted by the supervisor after a crash
-    /// (always 0 on the in-process backend).
+    /// Worker *processes* restarted by the supervisor after a crash.
     pub worker_restarts: u64,
     /// Jobs admitted past the in-memory ring into the on-disk spill
     /// queue.

@@ -28,13 +28,12 @@
 //!    insert is written through to a shard file and reloaded on the next
 //!    start, so a restarted daemon serves warm hits **byte-identically**
 //!    with zero new interpreter ticks.
-//! 3. **Process-isolated execution.** With a
-//!    [`crate::supervisor::WorkerSpec`] configured (the `jsceresd`
-//!    default), each worker thread owns one worker *process*
-//!    (`jsceresd --worker`); a crash costs one job, the supervisor
+//! 3. **Process-isolated execution.** Every analyze job runs in a
+//!    worker *process* started from the [`WorkerSpec`] passed to
+//!    [`serve`] (in production `jsceresd --worker`): each exec thread
+//!    owns one [`WorkerSlot`]; a crash costs one job, the supervisor
 //!    restarts the worker with bounded backoff, and the daemon keeps
-//!    serving. Without a spec (library/test default) jobs run on
-//!    in-process threads exactly as before.
+//!    serving.
 //! 4. **Spill-to-disk admission.** The in-memory ring holds up to
 //!    `queue_capacity` jobs; overflow is appended to a crash-safe
 //!    [`SpillQueue`] segment file and drained strictly FIFO behind the
@@ -46,12 +45,11 @@
 //!    re-architected as a pipeline): a *parse stage* pulls admitted
 //!    jobs, runs the parse+rewrite front half
 //!    ([`crate::pipeline::prepare_source`]) and emits the early phase
-//!    frames, then hands off to the *interp stage* (the worker slots,
-//!    threads or processes). Stages of different jobs overlap — while
-//!    one job holds an interp slot mid-dependence-analysis, the next
-//!    job's parse runs on a parse thread, and an unparseable job is
-//!    rejected without ever occupying an interp slot. Spilled jobs
-//!    replay through the same two stages.
+//!    frames, then hands off to the *interp stage* (the worker slots).
+//!    Stages of different jobs overlap — while one job holds an interp
+//!    slot mid-dependence-analysis, the next job's parse runs on a parse
+//!    thread, and an unparseable job is rejected without ever occupying
+//!    an interp slot. Spilled jobs replay through the same two stages.
 //!
 //! Shutdown is a graceful drain: a `shutdown` op (or
 //! [`ServerHandle::shutdown`], or SIGTERM via
@@ -72,7 +70,7 @@
 
 use crate::cache::{CacheKey, ShardedCache};
 use crate::fleet::{
-    supervise, AppOutcome, AppReport, FleetJob, FleetPolicy, JobError, JobWork, API_SCHEMA_VERSION,
+    AppOutcome, AppReport, FleetJob, FleetPolicy, JobError, JobWork, API_SCHEMA_VERSION,
 };
 use crate::obs::{FleetMetrics, ServeCounters};
 use crate::pipeline::{analyze, AnalyzeOptions, Document, WebServer};
@@ -81,7 +79,7 @@ use crate::supervisor::{SlotOutcome, WorkerSlot, WorkerSpec};
 use ceres_instrument::Mode;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -95,6 +93,12 @@ const HANG_FALLBACK_TICKS: u64 = 2_000_000;
 
 /// How often an idle connection handler wakes up to check for drain.
 const READ_POLL: Duration = Duration::from_millis(200);
+
+/// Largest request line accepted, in bytes (newline excluded): far above
+/// any real source payload, low enough that one client cannot make the
+/// daemon buffer without bound. A longer line is answered with one
+/// `request too large` error and the connection is closed.
+pub(crate) const MAX_REQUEST_LINE: usize = 8 << 20;
 
 /// Version stamp of the `stats` op payload (see `docs/METRICS.md`).
 /// 2 added the multi-process fields (spill, shards, worker restarts);
@@ -141,8 +145,8 @@ pub struct AnalysisRequest {
     /// Registry workload scale factor.
     pub scale: Option<u32>,
     /// Fault to inject into this request's job (`panic`, `hang`, `error`,
-    /// or — process-worker backend only — `crash`), exercising the
-    /// supervisor; injected requests are never cached.
+    /// or `crash`), exercising the supervisor; injected requests are
+    /// never cached.
     pub inject: Option<String>,
     /// `true` ⇒ answer with the schema-2 multi-frame stream
     /// (`accepted`/`phase`/`partial`/`notice` frames before the
@@ -238,8 +242,8 @@ pub fn request_wire_json(req: &AnalysisRequest, opts: &AnalyzeOptions) -> String
 /// sequence of frames ending in exactly one terminal frame; a schema-1
 /// one-shot response is the degenerate case — a single terminal frame
 /// rendered as the legacy envelope. Every response line on the wire
-/// (both backends, both schemas) goes through [`render_frame`], so
-/// there is exactly one place envelope bytes are assembled.
+/// (both schemas) goes through [`render_frame`], so there is exactly
+/// one place envelope bytes are assembled.
 #[derive(Debug, Clone)]
 pub enum Frame {
     /// The job passed admission and is queued; `queue_depth` is its
@@ -399,8 +403,30 @@ fn error_line(id: &str, error: &str) -> String {
 
 /// An error payload *fragment* (for replies routed through the job
 /// queue, which the connection handler wraps in an envelope itself).
-fn error_fragment(error: &str) -> String {
+pub(crate) fn error_fragment(error: &str) -> String {
     format!("\"error\":\"{}\"", json_escape(error))
+}
+
+/// A job's payload fragment: the `key`/`app`/`slug`/`status`/`attempts`
+/// head, then `body` — a finished job's report and metrics, or an
+/// [`error_fragment`]. Every job reply is built here: a result, a
+/// parse-stage rejection, a crashed or unspawnable worker, a job line
+/// the worker cannot resolve. `key` is the cache-key fingerprint
+/// (empty when a job line never resolved).
+pub(crate) fn job_fragment(
+    key: &str,
+    app: &str,
+    slug: &str,
+    status: &str,
+    attempts: u32,
+    body: &str,
+) -> String {
+    format!(
+        "\"key\":\"{key}\",\"app\":\"{}\",\"slug\":\"{}\",\"status\":\"{}\",\"attempts\":{attempts},{body}",
+        json_escape(app),
+        json_escape(slug),
+        json_escape(status),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -427,8 +453,8 @@ pub struct ResolvedJob {
 }
 
 /// Maps a request to a [`ResolvedJob`]. The daemon supplies one that
-/// knows the workload registry; [`source_resolver`] handles raw-source
-/// requests only (`ceres-core` cannot depend on the workloads crate).
+/// knows the workload registry (`ceres-core` cannot depend on the
+/// workloads crate), built from [`source_work`] and [`inject_fault`].
 pub type Resolver =
     Arc<dyn Fn(&AnalysisRequest, &AnalyzeOptions) -> Result<ResolvedJob, String> + Send + Sync>;
 
@@ -466,10 +492,8 @@ pub fn source_work(app: String, slug: String, source: String, opts: AnalyzeOptio
 /// `error` reports a transient failure on the first attempt and then
 /// lets the real work run — exercising panic isolation, watchdog
 /// cancellation, and retry respectively. `crash` aborts the worker
-/// *process* and therefore only bites under the process backend (a
-/// worker process calls `abort` before reaching this closure); on the
-/// in-process backend the closure below fails the job cleanly instead
-/// of taking the daemon down.
+/// process, the one fault [`crate::fleet::supervise`] cannot contain,
+/// so the supervisor's restart path gets exercised by something real.
 pub fn inject_fault(
     kind: &str,
     slug: &str,
@@ -502,49 +526,16 @@ pub fn inject_fault(
             }
         })),
         "crash" => Ok(Arc::new(move |_, _| {
-            Err(JobError::Fatal(format!(
-                "injected fault: crash in {slug} requires the process-worker \
-                 backend (in-process jobs fail cleanly instead of aborting \
-                 the daemon)"
-            )))
+            eprintln!(
+                "worker: injected crash in {slug} — aborting (pid {})",
+                std::process::id()
+            );
+            std::process::abort()
         })),
         other => Err(format!(
             "unknown inject kind `{other}` (want panic|hang|error|crash)"
         )),
     }
-}
-
-/// A resolver for raw-source requests only (no workload registry):
-/// rejects `app` requests. Used by core tests; the daemon layers the
-/// registry on top of the same [`source_work`]/[`inject_fault`] pieces.
-pub fn source_resolver(policy: FleetPolicy) -> Resolver {
-    Arc::new(move |req, opts| {
-        if req.app.is_some() {
-            return Err("this server has no workload registry; send `source`".to_string());
-        }
-        let source = req
-            .source
-            .clone()
-            .ok_or_else(|| "request needs `app` or `source`".to_string())?;
-        let slug = "inline".to_string();
-        let mut work = source_work(
-            "inline".to_string(),
-            slug.clone(),
-            source.clone(),
-            opts.clone(),
-        );
-        let cacheable = req.inject.is_none();
-        if let Some(kind) = &req.inject {
-            work = inject_fault(kind, &slug, &policy, work)?;
-        }
-        Ok(ResolvedJob {
-            app: "inline".to_string(),
-            slug,
-            source,
-            work,
-            cacheable,
-        })
-    })
 }
 
 /// Build [`AnalyzeOptions`] from a request plus the server defaults.
@@ -570,22 +561,77 @@ pub fn request_options(
     Ok(b.build())
 }
 
+/// A request resolved against the serve defaults: its options, cache
+/// key and supervised job.
+pub(crate) struct PreparedJob {
+    pub(crate) opts: AnalyzeOptions,
+    pub(crate) key: CacheKey,
+    /// Whether an `Ok` result may be cached ([`ResolvedJob::cacheable`]).
+    pub(crate) cacheable: bool,
+    /// Canonical source, for the parse stage's front half.
+    pub(crate) source: String,
+    pub(crate) job: FleetJob,
+}
+
+impl PreparedJob {
+    /// The [`job_fragment`] of this job failing with `error`.
+    pub(crate) fn failure(&self, status: &str, attempts: u32, error: &str) -> String {
+        job_fragment(
+            &self.key.fingerprint(),
+            &self.job.app,
+            &self.job.slug,
+            status,
+            attempts,
+            &error_fragment(error),
+        )
+    }
+}
+
+/// Resolve a request: options from the request and the serve defaults,
+/// then the resolver, then the cache key.
+pub(crate) fn resolve_request(
+    req: &AnalysisRequest,
+    config: &ServeConfig,
+    resolver: &Resolver,
+) -> Result<PreparedJob, String> {
+    let opts = request_options(req, config)?;
+    let resolved = resolver(req, &opts)?;
+    Ok(PreparedJob {
+        key: CacheKey::of(&resolved.source, &opts, req.scale.unwrap_or(1)),
+        opts,
+        cacheable: resolved.cacheable,
+        source: resolved.source,
+        job: FleetJob {
+            app: resolved.app,
+            slug: resolved.slug,
+            work: resolved.work,
+        },
+    })
+}
+
+/// Resolve a job line as [`request_wire_json`] renders it (the spill
+/// payload and the supervisor→worker line), plus whether it asks for
+/// streamed frames. The supervisor's parse stage and the worker process
+/// both resolve through here, so they agree on the key and on every
+/// option the job runs with.
+pub(crate) fn resolve_job_line(
+    wire: &str,
+    config: &ServeConfig,
+    resolver: &Resolver,
+) -> Result<(PreparedJob, bool), String> {
+    let req: AnalysisRequest =
+        serde_json::from_str(wire).map_err(|e| format!("bad job line: {e}"))?;
+    let prepared = resolve_request(&req, config, resolver)?;
+    Ok((prepared, req.stream == Some(true)))
+}
+
 /// Build the result fragment for a finished job. `Ok` outcomes carry
 /// the canonical report + deterministic single-run metrics; failures
 /// carry the status label and detail. Compact JSON throughout — the
-/// protocol is line-delimited. Shared verbatim by the in-process
-/// backend and [`crate::supervisor::worker_serve_stdio`], which is what
-/// keeps envelopes byte-identical across execution backends.
+/// protocol is line-delimited. The worker process renders every
+/// finished job here, and a warm hit replays the same bytes.
 pub fn result_fragment(key: &CacheKey, outcome: &AppOutcome) -> (bool, String) {
-    let head = format!(
-        "\"key\":\"{}\",\"app\":\"{}\",\"slug\":\"{}\",\"status\":\"{}\",\"attempts\":{}",
-        key.fingerprint(),
-        json_escape(&outcome.app),
-        json_escape(&outcome.slug),
-        json_escape(&outcome.status.label()),
-        outcome.attempts,
-    );
-    match &outcome.report {
+    let (ok, body) = match &outcome.report {
         Some(report) => {
             let canonical = report.canonical();
             let metrics = FleetMetrics::single(
@@ -599,62 +645,20 @@ pub fn result_fragment(key: &CacheKey, outcome: &AppOutcome) -> (bool, String) {
             let metrics_json = serde_json::to_string(&metrics).expect("FleetMetrics serializes");
             (
                 true,
-                format!("{head},\"report\":{report_json},\"metrics\":{metrics_json}"),
+                format!("\"report\":{report_json},\"metrics\":{metrics_json}"),
             )
         }
-        None => {
-            let detail = outcome.status.detail().unwrap_or("");
-            (
-                false,
-                format!("{head},\"error\":\"{}\"", json_escape(detail)),
-            )
-        }
-    }
-}
-
-/// Map a pipeline progress event to its streamed frame, if it has one.
-/// The parse stage already emitted `parse`/`rewrite` (the exec stage
-/// re-lowers from source and would re-record them), and sub-spans like
-/// `interp.compile` are an implementation detail — so the back half of
-/// the stream carries `interp`/`analyze`/`report` phases plus the
-/// `partial` timing row. Shared by the in-process sink and the worker
-/// process's stdout emitter, which keeps both backends' streams
-/// identical.
-pub(crate) fn frame_for_progress(p: &crate::obs::Progress) -> Option<Frame> {
-    match p {
-        crate::obs::Progress::Phase(span) => match span.phase.as_str() {
-            "interp" | "analyze" | "report" => Some(Frame::Phase {
-                phase: span.phase.clone(),
-                start_ticks: span.start_ticks,
-                end_ticks: span.end_ticks,
-            }),
-            _ => None,
-        },
-        crate::obs::Progress::Partial(fragment) => Some(Frame::Partial {
-            fragment: fragment.clone(),
-        }),
-    }
-}
-
-/// Wrap a job's work so each attempt runs with a progress sink that
-/// forwards phase/partial frames to the client's reply channel. The
-/// sink is installed *inside* the closure — i.e. on the supervised
-/// runner thread, where the pipeline's recording points fire — and the
-/// guard uninstalls it even when the attempt panics. Retried attempts
-/// re-emit their frames; `seq` stays monotonic because the connection
-/// handler stamps it at write time.
-fn streamed_work(inner: JobWork, reply: mpsc::Sender<Frame>) -> JobWork {
-    // `Sender` is `Send` but not `Sync`; `JobWork` must be both.
-    let reply = Mutex::new(reply);
-    Arc::new(move |worker, attempt| {
-        let tx = relock(&reply).clone();
-        let _guard = crate::obs::install_progress_sink(Box::new(move |p| {
-            if let Some(frame) = frame_for_progress(p) {
-                let _ = tx.send(frame);
-            }
-        }));
-        inner(worker, attempt)
-    })
+        None => (false, error_fragment(outcome.status.detail().unwrap_or(""))),
+    };
+    let fragment = job_fragment(
+        &key.fingerprint(),
+        &outcome.app,
+        &outcome.slug,
+        &outcome.status.label(),
+        outcome.attempts,
+        &body,
+    );
+    (ok, fragment)
 }
 
 // ---------------------------------------------------------------------
@@ -662,13 +666,12 @@ fn streamed_work(inner: JobWork, reply: mpsc::Sender<Frame>) -> JobWork {
 // ---------------------------------------------------------------------
 
 /// Server knobs. `Default` gives a loopback-friendly test configuration
-/// (in-process workers, ephemeral spill, memory-only cache); the daemon
-/// overrides from its flags.
+/// (ephemeral spill, memory-only cache); the daemon overrides from its
+/// flags.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker slots executing the interp/analyze back half of queued
-    /// jobs (threads, or — with [`ServeConfig::worker_spec`] set —
-    /// worker processes, one per slot).
+    /// jobs, one worker process per slot.
     pub workers: usize,
     /// Parse-stage threads: the pipeline front half (resolve +
     /// parse/rewrite + early frames) runs here, overlapping the next
@@ -687,10 +690,9 @@ pub struct ServeConfig {
     /// (and is replayed on start); `None` ⇒ an ephemeral per-process
     /// temp directory, deleted on clean shutdown.
     pub spill_dir: Option<PathBuf>,
-    /// How to spawn worker processes. `Some` ⇒ process-isolated
-    /// execution with supervised restart; `None` ⇒ in-process threads.
-    pub worker_spec: Option<WorkerSpec>,
-    /// Supervision policy for every served job.
+    /// Supervision policy. Its tick and wall budgets become each job's
+    /// options (written into the job line); a worker process retries
+    /// and backs off under the policy of its own config.
     pub policy: FleetPolicy,
     /// Mode used when a request omits `mode`.
     pub default_mode: Mode,
@@ -708,7 +710,6 @@ impl Default for ServeConfig {
             cache_shards: 8,
             cache_dir: None,
             spill_dir: None,
-            worker_spec: None,
             policy: FleetPolicy::default(),
             default_mode: Mode::LoopProfile,
             default_seed: 2015,
@@ -728,12 +729,10 @@ struct QueuedJob {
 }
 
 /// A job past the parse stage, holding a slot in the bounded exec
-/// queue: the original spec (the exec backend re-lowers from it), the
-/// resolved [`PreparedJob`], and the client channel.
+/// queue: the admitted job (whose spec is the line shipped to the worker
+/// process) and its resolution.
 struct ExecJob {
-    wire: String,
-    stream: bool,
-    reply: Option<mpsc::Sender<Frame>>,
+    queued: QueuedJob,
     prepared: PreparedJob,
 }
 
@@ -777,6 +776,7 @@ struct Shared {
     draining: AtomicBool,
     config: ServeConfig,
     resolver: Resolver,
+    spec: WorkerSpec,
     addr: SocketAddr,
 }
 
@@ -933,12 +933,18 @@ fn drain_flush_fragment(persisted: bool) -> String {
 }
 
 /// Start serving on `listener` (bind it yourself; `127.0.0.1:0` works
-/// for tests). Spawns the accept loop and `config.workers` job workers,
-/// then returns immediately. A persistent spill directory with a
-/// backlog is replayed immediately: those jobs run and their results
-/// land in the cache, so the clients that lost them can retry into warm
-/// hits.
-pub fn serve(listener: TcpListener, config: ServeConfig, resolver: Resolver) -> ServerHandle {
+/// for tests). Spawns the accept loop, the parse stage, and
+/// `config.workers` exec threads — each owning one worker process
+/// started from `spec` — then returns immediately. A persistent spill
+/// directory with a backlog is replayed immediately: those jobs run and
+/// their results land in the cache, so the clients that lost them can
+/// retry into warm hits.
+pub fn serve(
+    listener: TcpListener,
+    config: ServeConfig,
+    resolver: Resolver,
+    spec: WorkerSpec,
+) -> ServerHandle {
     let addr = listener.local_addr().expect("listener has a local addr");
     let cache = ShardedCache::open(
         config.cache_capacity,
@@ -993,6 +999,7 @@ pub fn serve(listener: TcpListener, config: ServeConfig, resolver: Resolver) -> 
         draining: AtomicBool::new(false),
         config: config.clone(),
         resolver,
+        spec,
         addr,
     });
 
@@ -1001,7 +1008,7 @@ pub fn serve(listener: TcpListener, config: ServeConfig, resolver: Resolver) -> 
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("jsceresd-worker-{worker_id}"))
-                .spawn(move || exec_loop(&shared, worker_id))
+                .spawn(move || exec_loop(&shared))
                 .expect("spawn worker")
         })
         .collect();
@@ -1042,6 +1049,9 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Forget handlers whose connection already ended, so the list
+        // tracks live connections rather than every one ever accepted.
+        handlers.retain(|h: &std::thread::JoinHandle<()>| !h.is_finished());
         let shared = Arc::clone(shared);
         if let Ok(h) = std::thread::Builder::new()
             .name("jsceresd-conn".to_string())
@@ -1093,38 +1103,6 @@ fn next_job(shared: &Arc<Shared>) -> Option<QueuedJob> {
     }
 }
 
-/// Parse + resolve a queued wire spec back into runnable work. (The
-/// spec was validated at admission; failures here are replay-era drift,
-/// e.g. a registry app renamed between restarts.)
-struct PreparedJob {
-    key: CacheKey,
-    cacheable: bool,
-    /// Canonical source + mode, kept so the parse stage can run the
-    /// pipeline front half ([`crate::pipeline::prepare_source`]).
-    source: String,
-    mode: Mode,
-    job: FleetJob,
-}
-
-fn prepare_job(shared: &Arc<Shared>, wire: &str) -> Result<PreparedJob, String> {
-    let req: AnalysisRequest =
-        serde_json::from_str(wire).map_err(|e| format!("bad queued job spec: {e}"))?;
-    let opts = request_options(&req, &shared.config)?;
-    let resolved = (shared.resolver)(&req, &opts)?;
-    let key = CacheKey::of(&resolved.source, &opts, req.scale.unwrap_or(1));
-    Ok(PreparedJob {
-        key,
-        cacheable: resolved.cacheable,
-        source: resolved.source,
-        mode: opts.mode,
-        job: FleetJob {
-            app: resolved.app,
-            slug: resolved.slug,
-            work: resolved.work,
-        },
-    })
-}
-
 /// Pipeline stage 1 (one thread of the parse pool): pull admitted jobs
 /// and run [`stage_parse`] on each. Exits when the queue closes and the
 /// ring is empty.
@@ -1145,8 +1123,10 @@ fn parse_loop(shared: &Arc<Shared>) {
 /// an unparseable streaming job is rejected with a terminal `error`
 /// without ever touching the back stage.
 fn stage_parse(shared: &Arc<Shared>, item: QueuedJob) {
-    let prepared = match prepare_job(shared, &item.wire) {
-        Ok(p) => p,
+    // The spec was validated at admission; a failure here is replay-era
+    // drift, e.g. a registry app renamed between restarts.
+    let prepared = match resolve_job_line(&item.wire, &shared.config, &shared.resolver) {
+        Ok((p, _)) => p,
         Err(e) => {
             shared.bump(|c| c.jobs_failed += 1);
             if let Some(reply) = item.reply {
@@ -1162,7 +1142,7 @@ fn stage_parse(shared: &Arc<Shared>, item: QueuedJob) {
     // the pre-pipeline server); streaming jobs pay a microseconds-scale
     // double parse to get early frames and early rejection.
     if item.stream {
-        match crate::pipeline::prepare_source(&prepared.source, prepared.mode) {
+        match crate::pipeline::prepare_source(&prepared.source, prepared.opts.mode) {
             Ok(front) => {
                 if let Some(reply) = &item.reply {
                     for span in &front.spans {
@@ -1178,14 +1158,7 @@ fn stage_parse(shared: &Arc<Shared>, item: QueuedJob) {
                 shared.bump(|c| c.jobs_failed += 1);
                 if let Some(reply) = item.reply {
                     let _ = reply.send(Frame::Error {
-                        fragment: format!(
-                            "\"key\":\"{}\",\"app\":\"{}\",\"slug\":\"{}\",\
-                             \"status\":\"failed\",\"attempts\":0,\"error\":\"{}\"",
-                            prepared.key.fingerprint(),
-                            json_escape(&prepared.job.app),
-                            json_escape(&prepared.job.slug),
-                            json_escape(&e),
-                        ),
+                        fragment: prepared.failure("failed", 0, &e),
                     });
                 }
                 return;
@@ -1195,9 +1168,7 @@ fn stage_parse(shared: &Arc<Shared>, item: QueuedJob) {
     enqueue_exec(
         shared,
         ExecJob {
-            wire: item.wire,
-            stream: item.stream,
-            reply: item.reply,
+            queued: item,
             prepared,
         },
     );
@@ -1243,11 +1214,11 @@ fn next_exec_job(shared: &Arc<Shared>) -> Option<ExecJob> {
 }
 
 /// Pipeline stage 2 (one thread per interp slot): run parsed jobs on
-/// this worker's backend and send each client its terminal frame.
-fn exec_loop(shared: &Arc<Shared>, worker_id: usize) {
-    let mut slot = shared.config.worker_spec.clone().map(WorkerSlot::new);
-    while let Some(job) = next_exec_job(shared) {
-        let (ok, fragment, ticks) = execute_job(shared, worker_id, slot.as_mut(), &job);
+/// this slot's worker process and send each client its terminal frame.
+fn exec_loop(shared: &Arc<Shared>) {
+    let mut slot = WorkerSlot::new(shared.spec.clone());
+    while let Some(ExecJob { queued, prepared }) = next_exec_job(shared) {
+        let (ok, fragment, ticks) = execute_job(shared, &mut slot, &queued, &prepared);
         shared.bump(|c| {
             c.interp_ticks += ticks;
             if ok {
@@ -1256,7 +1227,7 @@ fn exec_loop(shared: &Arc<Shared>, worker_id: usize) {
                 c.jobs_failed += 1;
             }
         });
-        if let Some(reply) = &job.reply {
+        if let Some(reply) = &queued.reply {
             let frame = if ok {
                 Frame::Result {
                     ok: true,
@@ -1269,91 +1240,40 @@ fn exec_loop(shared: &Arc<Shared>, worker_id: usize) {
             let _ = reply.send(frame);
         }
     }
-    if let Some(s) = slot.as_mut() {
-        s.shutdown();
-    }
+    slot.shutdown();
 }
 
-/// Run one parsed job on this worker's backend and return
-/// `(ok, fragment, ticks)` with the fragment already deduplicated
-/// through the cache (first-writer-wins) when cacheable. Streaming
-/// jobs run with a frame path back to the client: the process backend
-/// forwards the worker pipe's frame lines, the in-process backend
-/// installs a progress sink on the runner thread.
+/// Ship one parsed job's line to this slot's worker process (a dead
+/// worker is restarted with bounded backoff), forwarding its frame
+/// lines to a streaming client, and return `(ok, fragment, ticks)` with
+/// the fragment already deduplicated through the cache
+/// (first-writer-wins) when cacheable.
 fn execute_job(
     shared: &Arc<Shared>,
-    worker_id: usize,
-    slot: Option<&mut WorkerSlot>,
-    job: &ExecJob,
+    slot: &mut WorkerSlot,
+    job: &QueuedJob,
+    prepared: &PreparedJob,
 ) -> (bool, String, u64) {
-    let prepared = &job.prepared;
-    let (ok, fragment, ticks) = match slot {
-        // Process backend: ship the job line to this slot's worker
-        // process; a dead worker is restarted with bounded backoff.
-        Some(slot) => {
-            let streaming = job.stream && job.reply.is_some();
-            let (outcome, restarts) = slot.run(&job.wire, &mut |frame| {
-                if streaming {
-                    if let Some(reply) = &job.reply {
-                        let _ = reply.send(frame);
-                    }
-                }
-            });
-            if restarts > 0 {
-                shared.bump(|c| c.worker_restarts += restarts);
-            }
-            match outcome {
-                SlotOutcome::Done(resp) => (resp.ok, resp.fragment, resp.ticks),
-                SlotOutcome::Crashed { attempts } => (
-                    false,
-                    format!(
-                        "\"key\":\"{}\",\"app\":\"{}\",\"slug\":\"{}\",\
-                         \"status\":\"worker-crashed\",\"attempts\":{attempts},\
-                         \"error\":\"worker process died while running this job; \
-                         a fresh worker was started\"",
-                        prepared.key.fingerprint(),
-                        json_escape(&prepared.job.app),
-                        json_escape(&prepared.job.slug),
-                    ),
-                    0,
-                ),
-                SlotOutcome::Unavailable(e) => (
-                    false,
-                    format!(
-                        "\"key\":\"{}\",\"app\":\"{}\",\"slug\":\"{}\",\
-                         \"status\":\"failed\",\"attempts\":0,\"error\":\"{}\"",
-                        prepared.key.fingerprint(),
-                        json_escape(&prepared.job.app),
-                        json_escape(&prepared.job.slug),
-                        json_escape(&e),
-                    ),
-                    0,
-                ),
-            }
+    let (outcome, restarts) = slot.run(&job.wire, &mut |frame| {
+        if let (true, Some(reply)) = (job.stream, &job.reply) {
+            let _ = reply.send(frame);
         }
-        // In-process backend: the original thread-pool path, with the
-        // work wrapped in a streaming progress sink when the client
-        // asked for frames.
-        None => {
-            let outcome = match (&job.reply, job.stream) {
-                (Some(reply), true) => {
-                    let streamed = FleetJob {
-                        app: prepared.job.app.clone(),
-                        slug: prepared.job.slug.clone(),
-                        work: streamed_work(Arc::clone(&prepared.job.work), reply.clone()),
-                    };
-                    supervise(&streamed, worker_id, &shared.config.policy)
-                }
-                _ => supervise(&prepared.job, worker_id, &shared.config.policy),
-            };
-            let ticks = outcome
-                .report
-                .as_ref()
-                .map(|r| r.obs.counters.interp_ticks)
-                .unwrap_or(0);
-            let (ok, fragment) = result_fragment(&prepared.key, &outcome);
-            (ok, fragment, ticks)
-        }
+    });
+    if restarts > 0 {
+        shared.bump(|c| c.worker_restarts += restarts);
+    }
+    let (ok, fragment, ticks) = match outcome {
+        SlotOutcome::Done(resp) => (resp.ok, resp.fragment, resp.ticks),
+        SlotOutcome::Crashed { attempts } => (
+            false,
+            prepared.failure(
+                "worker-crashed",
+                attempts,
+                "worker process died while running this job; a fresh worker was started",
+            ),
+            0,
+        ),
+        SlotOutcome::Unavailable(e) => (false, prepared.failure("failed", 0, &e), 0),
     };
     let fragment = if ok && prepared.cacheable {
         // First-writer-wins: concurrent cold misses on the same key
@@ -1366,6 +1286,12 @@ fn execute_job(
     (ok, fragment, ticks)
 }
 
+/// Serve one connection: read request lines and answer each. A line
+/// may arrive in pieces across any number of read-poll timeouts; the
+/// bytes read so far are kept, and the line is decoded only once its
+/// newline (or the client's EOF) arrives. A line longer than
+/// [`MAX_REQUEST_LINE`] is answered with `request too large`, and the
+/// connection is closed.
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut writer = match stream.try_clone() {
@@ -1373,12 +1299,12 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client hung up
-            Ok(_) => {}
+        // One byte past the cap is enough to tell an oversized line.
+        let room = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+        let n = match (&mut reader).take(room).read_until(b'\n', &mut line) {
+            Ok(n) => n,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -1390,11 +1316,27 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 continue;
             }
             Err(_) => return,
+        };
+        if line.is_empty() {
+            return; // client hung up
         }
-        if line.trim().is_empty() {
-            continue;
+        if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+            let too_large = format!("request too large: over {MAX_REQUEST_LINE} bytes");
+            let _ = write_line(&mut writer, &error_line("", &too_large));
+            return;
         }
-        if handle_line(line.trim(), shared, &mut writer).is_err() {
+        let answered = match std::str::from_utf8(&line).map(str::trim) {
+            Ok("") => Ok(()),
+            Ok(text) => handle_line(text, shared, &mut writer),
+            Err(_) => write_line(
+                &mut writer,
+                &error_line("", "bad request: line is not valid UTF-8"),
+            ),
+        };
+        line.clear();
+        // `n == 0`: EOF right after a partial line that has now been
+        // answered.
+        if answered.is_err() || n == 0 {
             return;
         }
     }
@@ -1463,11 +1405,6 @@ fn stats_line(id: &str, shared: &Arc<Shared>) -> String {
         ),
         None => "null".to_string(),
     };
-    let backend = if shared.config.worker_spec.is_some() {
-        "process"
-    } else {
-        "in-process"
-    };
     envelope(
         id,
         true,
@@ -1479,7 +1416,7 @@ fn stats_line(id: &str, shared: &Arc<Shared>) -> String {
              \"shards\":{},\"persistent\":{},\"loaded\":{},\"load_corrupt\":{},\"persisted\":{},\
              \"per_shard\":[{per_shard}]}},\
              \"queue_depth\":{queue_depth},\"exec_depth\":{exec_depth},\"spill\":{spill_json},\
-             \"workers\":{},\"backend\":\"{backend}\",\"draining\":{}",
+             \"workers\":{},\"backend\":\"process\",\"draining\":{}",
             cache.total.hits,
             cache.total.misses,
             cache.total.evictions,
@@ -1499,21 +1436,22 @@ fn stats_line(id: &str, shared: &Arc<Shared>) -> String {
 /// Writes the frames of one analyze response, stamping `seq` at write
 /// time — the stamp and the write are one step on this thread, so the
 /// sequence a client observes is gapless and monotonic no matter how
-/// the stages interleaved behind the channel.
+/// the stages interleaved behind the channel. Each non-terminal frame
+/// is counted in `frames_streamed` before it is written, so a client
+/// that has read its terminal frame never sees a stale count.
 struct FrameWriter<'a> {
     out: &'a mut dyn Write,
+    shared: &'a Shared,
     schema: u32,
     id: &'a str,
     seq: u64,
-    /// Non-terminal frames written (feeds the `frames_streamed` counter).
-    streamed: u64,
 }
 
 impl FrameWriter<'_> {
     fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
         self.seq += 1;
         if !frame.is_terminal() {
-            self.streamed += 1;
+            self.shared.bump(|c| c.frames_streamed += 1);
         }
         write_line(
             self.out,
@@ -1543,22 +1481,14 @@ fn handle_analyze(
     };
     let mut fw = FrameWriter {
         out,
+        shared,
         schema,
         id,
         seq: 0,
-        streamed: 0,
     };
 
-    let opts = match request_options(req, &shared.config) {
-        Ok(o) => o,
-        Err(e) => {
-            return fw.send(&Frame::Error {
-                fragment: error_fragment(&e),
-            })
-        }
-    };
-    let resolved = match (shared.resolver)(req, &opts) {
-        Ok(r) => r,
+    let prepared = match resolve_request(req, &shared.config, &shared.resolver) {
+        Ok(p) => p,
         Err(e) => {
             return fw.send(&Frame::Error {
                 fragment: error_fragment(&e),
@@ -1571,13 +1501,12 @@ fn handle_analyze(
             c.streams += 1;
         }
     });
-    let key = CacheKey::of(&resolved.source, &opts, req.scale.unwrap_or(1));
 
     // Fault-injected requests bypass the cache in both directions: a hit
     // would skip the very supervisor path the injection exists to
     // exercise, and storing the result would leak injection artifacts.
-    if resolved.cacheable {
-        if let Some(fragment) = shared.cache.lookup(&key) {
+    if prepared.cacheable {
+        if let Some(fragment) = shared.cache.lookup(&prepared.key) {
             shared.bump(|c| c.cache_hits += 1);
             // A warm hit needs no pipeline: the stream collapses to its
             // terminal frame (`accepted` always implies real work).
@@ -1597,7 +1526,7 @@ fn handle_analyze(
         });
     }
 
-    let wire = request_wire_json(req, &opts);
+    let wire = request_wire_json(req, &prepared.opts);
     let (tx, rx) = mpsc::channel();
     let admitted = {
         let mut q = relock(&shared.queue);
@@ -1708,10 +1637,6 @@ fn handle_analyze(
             }
         }
     }
-    if fw.streamed > 0 {
-        let streamed = fw.streamed;
-        shared.bump(|c| c.frames_streamed += streamed);
-    }
     Ok(())
 }
 
@@ -1721,26 +1646,150 @@ mod tests {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 
-    fn start(config: ServeConfig) -> ServerHandle {
+    /// A server for wire-level tests. The resolver refuses every job, so
+    /// no request here ever reaches a worker process and the spec names
+    /// none; job execution is tested against real workers in the
+    /// integration tests.
+    fn start_wire_only() -> ServerHandle {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let policy = config.policy.clone();
-        serve(listener, config, source_resolver(policy))
+        let resolver: Resolver = Arc::new(|_, _| Err("wire-level test server runs no jobs".into()));
+        let spec = WorkerSpec {
+            program: PathBuf::from("/nonexistent/jsceresd-worker"),
+            args: Vec::new(),
+        };
+        serve(listener, ServeConfig::default(), resolver, spec)
     }
 
-    fn roundtrip(addr: SocketAddr, line: &str) -> String {
-        let mut stream = TcpStream::connect(addr).expect("connect");
+    /// Set in the environment of the worker processes [`start`] spawns;
+    /// it turns [`worker_process_entry`] into a worker loop.
+    const TEST_WORKER_ENV: &str = "CERES_SERVE_TEST_WORKER";
+
+    /// Raw-source requests only, with fault injection — the test server
+    /// and its worker processes both resolve through this.
+    fn inline_resolver(policy: FleetPolicy) -> Resolver {
+        Arc::new(move |req, opts| {
+            let source = req
+                .source
+                .clone()
+                .ok_or_else(|| "test server needs `source`".to_string())?;
+            let slug = "inline".to_string();
+            let mut work = source_work(
+                "inline".to_string(),
+                slug.clone(),
+                source.clone(),
+                opts.clone(),
+            );
+            if let Some(kind) = &req.inject {
+                work = inject_fault(kind, &slug, &policy, work)?;
+            }
+            Ok(ResolvedJob {
+                app: "inline".to_string(),
+                slug,
+                source,
+                work,
+                cacheable: req.inject.is_none(),
+            })
+        })
+    }
+
+    /// Worker processes for the job tests: this test binary, re-run
+    /// through `sh` with only [`worker_process_entry`] selected. The
+    /// shell points fd 3 at the supervisor's pipe and fd 1 at
+    /// `/dev/null`, so the test harness's own output never reaches the
+    /// worker protocol.
+    fn self_worker_spec() -> WorkerSpec {
+        let exe = std::env::current_exe().expect("test binary path");
+        WorkerSpec {
+            program: PathBuf::from("/bin/sh"),
+            args: vec![
+                "-c".to_string(),
+                format!("export {TEST_WORKER_ENV}=1; exec \"$0\" \"$@\" 3>&1 >/dev/null"),
+                exe.to_str().expect("UTF-8 test binary path").to_string(),
+                "serve::tests::worker_process_entry".to_string(),
+                "--exact".to_string(),
+                "--nocapture".to_string(),
+                "--test-threads=1".to_string(),
+            ],
+        }
+    }
+
+    /// A server whose jobs run in worker processes from
+    /// [`self_worker_spec`].
+    fn start(config: ServeConfig) -> ServerHandle {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let resolver = inline_resolver(config.policy.clone());
+        serve(listener, config, resolver, self_worker_spec())
+    }
+
+    /// The worker loop of the processes [`self_worker_spec`] starts; a
+    /// no-op in an ordinary test run. Moves the supervisor's pipe from
+    /// fd 3 onto stdout, serves jobs until stdin closes, then exits
+    /// before the test harness can print its summary.
+    #[test]
+    fn worker_process_entry() {
+        if std::env::var_os(TEST_WORKER_ENV).is_none() {
+            return;
+        }
+        extern "C" {
+            fn dup2(oldfd: i32, newfd: i32) -> i32;
+        }
+        // SAFETY: plain libc call on descriptors the shell set up; no Rust
+        // object owns fd 3, and stdout is flushed per line by the loop.
+        if unsafe { dup2(3, 1) } != 1 {
+            eprintln!("worker_process_entry: cannot move fd 3 onto stdout");
+            std::process::exit(2);
+        }
+        let config = ServeConfig::default();
+        let resolver = inline_resolver(config.policy.clone());
+        let served = crate::supervisor::worker_serve_stdio(&config, &resolver);
+        if let Err(e) = &served {
+            eprintln!("worker_process_entry: {e}");
+        }
+        std::process::exit(i32::from(served.is_err()));
+    }
+
+    /// Everything after the request-specific prefix (`id`/`cached` differ
+    /// between cold and warm by design; the result payload must not).
+    fn payload_tail(response: &str) -> &str {
+        &response[response.find("\"key\":").expect("key field")..]
+    }
+
+    fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(addr).expect("connect");
         stream
-            .write_all(format!("{line}\n").as_bytes())
-            .expect("send");
-        let mut reader = BufReader::new(stream);
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        (stream, reader)
+    }
+
+    fn read_reply(reader: &mut BufReader<TcpStream>) -> String {
         let mut response = String::new();
         reader.read_line(&mut response).expect("response");
         response.trim_end().to_string()
     }
 
+    fn roundtrip(addr: SocketAddr, line: &str) -> String {
+        let (mut stream, mut reader) = connect(addr);
+        stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        read_reply(&mut reader)
+    }
+
+    /// Send a request line in two writes with a pause past the server's
+    /// read poll between them, as a slow client would, and read the reply.
+    fn split_roundtrip(addr: SocketAddr, first: &[u8], rest: &[u8]) -> String {
+        let (mut stream, mut reader) = connect(addr);
+        stream.write_all(first).expect("send first part");
+        std::thread::sleep(READ_POLL * 2 + Duration::from_millis(100));
+        stream.write_all(rest).expect("send rest");
+        read_reply(&mut reader)
+    }
+
     #[test]
     fn ping_and_unknown_op() {
-        let server = start(ServeConfig::default());
+        let server = start_wire_only();
         let addr = server.local_addr();
         let pong = roundtrip(addr, r#"{"op":"ping","id":"p1"}"#);
         assert!(pong.contains("\"ok\":true"), "{pong}");
@@ -1756,7 +1805,7 @@ mod tests {
 
     #[test]
     fn malformed_line_is_an_error_not_a_crash() {
-        let server = start(ServeConfig::default());
+        let server = start_wire_only();
         let addr = server.local_addr();
         let resp = roundtrip(addr, "this is not json");
         assert!(resp.contains("bad request"), "{resp}");
@@ -1779,9 +1828,11 @@ mod tests {
 
         let warm = roundtrip(addr, req);
         assert!(warm.contains("\"cached\":true"), "{warm}");
-        // Byte-identity of everything after the request-specific prefix.
-        let tail = |s: &str| s[s.find("\"key\":").expect("key field")..].to_string();
-        assert_eq!(tail(&cold), tail(&warm), "payload must be byte-identical");
+        assert_eq!(
+            payload_tail(&cold),
+            payload_tail(&warm),
+            "payload must be byte-identical"
+        );
         assert_eq!(
             server.counters().interp_ticks,
             ticks_after_cold,
@@ -1789,65 +1840,6 @@ mod tests {
         );
         assert_eq!(server.counters().cache_hits, 1);
         assert_eq!(server.counters().cache_misses, 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn different_options_miss_the_cache() {
-        let server = start(ServeConfig::default());
-        let addr = server.local_addr();
-        let a = roundtrip(addr, r#"{"source":"var x = 1;","mode":"dependence"}"#);
-        let b = roundtrip(addr, r#"{"source":"var x = 1;","mode":"loop-profile"}"#);
-        let c = roundtrip(
-            addr,
-            r#"{"source":"var x = 1;","mode":"dependence","seed":9}"#,
-        );
-        for r in [&a, &b, &c] {
-            assert!(r.contains("\"cached\":false"), "{r}");
-        }
-        assert_eq!(server.counters().cache_misses, 3);
-        assert_eq!(server.counters().cache_hits, 0);
-        server.shutdown();
-    }
-
-    #[test]
-    fn injected_faults_exercise_the_supervisor_and_skip_the_cache() {
-        let mut config = ServeConfig::default();
-        config.policy.backoff = Duration::from_millis(1);
-        let server = start(config);
-        let addr = server.local_addr();
-
-        // A panic is contained and reported, not fatal to the server.
-        let p = roundtrip(addr, r#"{"source":"var x;","inject":"panic"}"#);
-        assert!(p.contains("\"status\":\"panicked\""), "{p}");
-        assert!(p.contains("\"ok\":false"), "{p}");
-
-        // A transient error clears on retry; the result is real but must
-        // not be cached (attempts differ from a clean run).
-        let e = roundtrip(addr, r#"{"source":"var x;","inject":"error"}"#);
-        assert!(e.contains("\"status\":\"ok\""), "{e}");
-        assert!(e.contains("\"attempts\":2"), "{e}");
-        let clean = roundtrip(addr, r#"{"source":"var x;"}"#);
-        assert!(
-            clean.contains("\"cached\":false"),
-            "injected result leaked: {clean}"
-        );
-        assert!(clean.contains("\"attempts\":1"), "{clean}");
-
-        // And the reverse leak: a warm cache entry must not short-circuit
-        // a later injected request — the fault has to actually run.
-        let e2 = roundtrip(addr, r#"{"source":"var x;","inject":"error"}"#);
-        assert!(e2.contains("\"cached\":false"), "{e2}");
-        assert!(e2.contains("\"attempts\":2"), "{e2}");
-
-        // `crash` on the in-process backend fails the job cleanly
-        // instead of aborting the daemon.
-        let c = roundtrip(addr, r#"{"source":"var x;","inject":"crash"}"#);
-        assert!(c.contains("\"ok\":false"), "{c}");
-        assert!(c.contains("process-worker"), "{c}");
-
-        assert_eq!(server.counters().jobs_failed, 2);
-        assert_eq!(server.counters().jobs_ok, 3);
         server.shutdown();
     }
 
@@ -1860,17 +1852,17 @@ mod tests {
         let addr = server.local_addr();
         let req = r#"{"source":"var s = 0; for (var i = 0; i < 5; i++) { s += i; }","mode":"dependence"}"#;
         let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let req = req.to_string();
-                std::thread::spawn(move || roundtrip(addr, &req))
-            })
+            .map(|_| std::thread::spawn(move || roundtrip(addr, req)))
             .collect();
         let responses: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let tail = |s: &str| s[s.find("\"key\":").expect("key field")..].to_string();
-        let first = tail(&responses[0]);
+        let first = payload_tail(&responses[0]);
         for r in &responses {
             assert!(r.contains("\"ok\":true"), "{r}");
-            assert_eq!(tail(r), first, "all clients must see identical payloads");
+            assert_eq!(
+                payload_tail(r),
+                first,
+                "all clients must see identical payloads"
+            );
         }
         server.shutdown();
     }
@@ -1912,31 +1904,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_reports_the_current_schema_with_spill_and_shards() {
-        let server = start(ServeConfig::default());
-        let addr = server.local_addr();
-        let stats = roundtrip(addr, r#"{"op":"stats","id":"s"}"#);
-        assert!(
-            stats.contains(&format!("\"stats_schema\":{SERVE_STATS_SCHEMA}")),
-            "{stats}"
-        );
-        for field in [
-            "\"worker_restarts\":0",
-            "\"jobs_spilled\":0",
-            "\"streams\":0",
-            "\"frames_streamed\":0",
-            "\"spill_notices\":0",
-            "\"exec_depth\":0",
-            "\"spill\":{\"depth\":0",
-            "\"per_shard\":[",
-            "\"backend\":\"in-process\"",
-        ] {
-            assert!(stats.contains(field), "missing {field}: {stats}");
-        }
-        server.shutdown();
-    }
-
-    #[test]
     fn shutdown_drains_in_flight_work_and_rejects_new() {
         let server = start(ServeConfig::default());
         let addr = server.local_addr();
@@ -1965,6 +1932,97 @@ mod tests {
         // New connections are refused or reset after the drain; either
         // way the server threads have all exited by now.
         assert!(counters.requests >= 1);
+    }
+
+    /// A request line that arrives across a read-poll timeout is
+    /// answered as the whole line, not as its tail.
+    #[test]
+    fn request_split_across_read_polls_is_answered_whole() {
+        let server = start_wire_only();
+        let reply = split_roundtrip(
+            server.local_addr(),
+            br#"{"id":"slow","op":"#,
+            b"\"ping\"}\n",
+        );
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        assert!(reply.contains("\"id\":\"slow\""), "{reply}");
+        server.shutdown();
+    }
+
+    /// A multi-byte character split across a read-poll timeout is decoded
+    /// once the line is whole; a line that is not UTF-8 at all gets a
+    /// `bad request` reply and the connection stays usable.
+    #[test]
+    fn utf8_split_across_read_polls_is_answered_whole() {
+        let server = start_wire_only();
+        let addr = server.local_addr();
+        let reply = split_roundtrip(addr, b"{\"id\":\"caf\xc3", b"\xa9\",\"op\":\"ping\"}\n");
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        assert!(reply.contains("\"id\":\"caf\u{e9}\""), "{reply}");
+
+        let (mut stream, mut reader) = connect(addr);
+        stream.write_all(b"{\"op\":\"ping\xff\"}\n").expect("send");
+        let bad = read_reply(&mut reader);
+        assert!(bad.contains("\"ok\":false"), "{bad}");
+        assert!(bad.contains("bad request"), "{bad}");
+        stream.write_all(b"{\"op\":\"ping\"}\n").expect("send");
+        let pong = read_reply(&mut reader);
+        assert!(pong.contains("\"ok\":true"), "{pong}");
+        server.shutdown();
+    }
+
+    /// A line of exactly [`MAX_REQUEST_LINE`] bytes is served; one byte
+    /// more, with no newline in sight, gets one `request too large` reply
+    /// and the connection is closed.
+    #[test]
+    fn request_line_over_the_cap_is_refused_and_closed() {
+        let server = start_wire_only();
+        let addr = server.local_addr();
+
+        let ping = r#"{"op":"ping"}"#;
+        let at_cap = format!("{ping}{}", " ".repeat(MAX_REQUEST_LINE - ping.len()));
+        let pong = roundtrip(addr, &at_cap);
+        assert!(pong.contains("\"ok\":true"), "{pong}");
+
+        let (mut stream, mut reader) = connect(addr);
+        stream
+            .write_all(&vec![b'a'; MAX_REQUEST_LINE + 1])
+            .expect("send");
+        let refused = read_reply(&mut reader);
+        assert!(refused.contains("\"ok\":false"), "{refused}");
+        assert!(refused.contains("request too large"), "{refused}");
+        let mut rest = String::new();
+        assert_eq!(
+            reader.read_line(&mut rest).expect("read after refusal"),
+            0,
+            "connection must close after the refusal: {rest}"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn stats_reports_the_current_schema_with_spill_and_shards() {
+        let server = start_wire_only();
+        let addr = server.local_addr();
+        let stats = roundtrip(addr, r#"{"op":"stats","id":"s"}"#);
+        assert!(
+            stats.contains(&format!("\"stats_schema\":{SERVE_STATS_SCHEMA}")),
+            "{stats}"
+        );
+        for field in [
+            "\"worker_restarts\":0",
+            "\"jobs_spilled\":0",
+            "\"streams\":0",
+            "\"frames_streamed\":0",
+            "\"spill_notices\":0",
+            "\"exec_depth\":0",
+            "\"spill\":{\"depth\":0",
+            "\"per_shard\":[",
+            "\"backend\":\"process\"",
+        ] {
+            assert!(stats.contains(field), "missing {field}: {stats}");
+        }
+        server.shutdown();
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Worker *process* supervision for `jsceresd`.
 //!
-//! Through PR 5 the daemon ran every job on an in-process thread pool:
 //! `catch_unwind` contains a Rust panic, but a segfault-class failure
-//! (stack overflow in native code, an `abort`, an OOM kill) takes the
-//! whole daemon — and its queue, cache, and every connected client —
+//! (stack overflow in native code, an `abort`, an OOM kill) would take
+//! the whole daemon — and its queue, cache, and every connected client —
 //! down with it. The Servo experience report (arXiv:1505.07383) names
-//! the fix: make the **process** the isolation boundary. This module
-//! implements it:
+//! the fix: make the **process** the isolation boundary. `jsceresd`
+//! runs every analyze job in a worker process, and this module
+//! implements that:
 //!
 //! * [`WorkerSpec`] describes how to start one analysis worker — in
 //!   production, `jsceresd --worker …`, the daemon re-executing itself.
@@ -26,9 +26,8 @@
 //! the job line is a normal [`crate::serve::AnalysisRequest`] (with the
 //! options already resolved to explicit values by the supervisor, so a
 //! worker's own defaults can never skew the cache key), and the
-//! response fragment is built by the same code path the in-process
-//! backend uses — which is what keeps cold envelopes byte-identical
-//! across backends and golden-pinned.
+//! response fragment is built by [`crate::serve::result_fragment`] —
+//! the exact bytes the supervisor caches and a warm hit replays.
 //!
 //! For a `stream:true` job the pipe carries *multiple* lines: zero or
 //! more frame lines (`{"frame":"phase",…}` / `{"frame":"partial",…}`)
@@ -44,11 +43,10 @@
 
 #![deny(missing_docs)]
 
-use crate::cache::CacheKey;
-use crate::fleet::{supervise, FleetJob, JobWork};
+use crate::fleet::{supervise, JobWork};
+use crate::obs::Progress;
 use crate::serve::{
-    frame_for_progress, request_options, result_fragment, AnalysisRequest, Frame, Resolver,
-    ServeConfig,
+    error_fragment, job_fragment, resolve_job_line, result_fragment, Frame, Resolver, ServeConfig,
 };
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, Write};
@@ -75,9 +73,8 @@ pub struct WorkerResponse {
     pub ok: bool,
     /// Interpreter ticks this job spent (0 for failures without reports).
     pub ticks: u64,
-    /// The response payload fragment — exactly what the in-process
-    /// backend's fragment builder produces, so the supervisor can cache
-    /// and forward it unchanged.
+    /// The response payload fragment, which the supervisor caches and
+    /// forwards unchanged.
     pub fragment: String,
 }
 
@@ -112,6 +109,28 @@ fn parse_worker_frame(line: &str) -> Option<Frame> {
             fragment: f.fragment?,
         }),
         _ => None,
+    }
+}
+
+/// Map a pipeline progress event to its streamed frame, if it has one.
+/// The supervisor's parse stage already emitted `parse`/`rewrite` (the
+/// worker re-lowers from source and would re-record them), and
+/// sub-spans like `interp.compile` are an implementation detail — so
+/// the worker streams `interp`/`analyze`/`report` phases plus the
+/// `partial` timing row.
+fn frame_for_progress(p: &Progress) -> Option<Frame> {
+    match p {
+        Progress::Phase(span) => match span.phase.as_str() {
+            "interp" | "analyze" | "report" => Some(Frame::Phase {
+                phase: span.phase.clone(),
+                start_ticks: span.start_ticks,
+                end_ticks: span.end_ticks,
+            }),
+            _ => None,
+        },
+        Progress::Partial(fragment) => Some(Frame::Partial {
+            fragment: fragment.clone(),
+        }),
     }
 }
 
@@ -367,8 +386,8 @@ impl WorkerSlot {
 /// watchdog, wall backstop, transient-error retry, and `catch_unwind`
 /// all apply — so the *process* boundary is reserved for the failures
 /// those cannot contain. `inject:"crash"` aborts the worker process on
-/// purpose (the supervised-crash drill used by tests and
-/// `scripts/serve_smoke.sh`).
+/// purpose (see [`crate::serve::inject_fault`]; the supervised-crash
+/// drill used by tests and `scripts/serve_smoke.sh`).
 pub fn worker_serve_stdio(config: &ServeConfig, resolver: &Resolver) -> std::io::Result<()> {
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout();
@@ -423,40 +442,15 @@ fn streamed_stdio_work(inner: JobWork, gate: Arc<Mutex<bool>>) -> JobWork {
 /// Run one job line — streaming frames to stdout when the job asks for
 /// it — and render the terminal worker response line.
 fn run_one_job(wire: &str, config: &ServeConfig, resolver: &Resolver) -> String {
-    let req: AnalysisRequest = match serde_json::from_str(wire) {
-        Ok(r) => r,
-        Err(e) => return worker_error_line(&format!("bad worker job line: {e}")),
-    };
-    if req.inject.as_deref() == Some("crash") {
-        // The one fault `supervise` cannot contain, on purpose: die the
-        // way a segfaulting worker would, so the supervisor's restart
-        // path gets exercised by something real.
-        eprintln!(
-            "worker: injected crash — aborting (pid {})",
-            std::process::id()
-        );
-        std::process::abort();
-    }
-    let opts = match request_options(&req, config) {
-        Ok(o) => o,
+    let (prepared, stream) = match resolve_job_line(wire, config, resolver) {
+        Ok(p) => p,
         Err(e) => return worker_error_line(&e),
     };
-    let resolved = match (resolver)(&req, &opts) {
-        Ok(r) => r,
-        Err(e) => return worker_error_line(&e),
-    };
-    let key = CacheKey::of(&resolved.source, &opts, req.scale.unwrap_or(1));
+    let mut job = prepared.job;
     let gate = Arc::new(Mutex::new(true));
-    let work = if req.stream == Some(true) {
-        streamed_stdio_work(resolved.work, Arc::clone(&gate))
-    } else {
-        resolved.work
-    };
-    let job = FleetJob {
-        app: resolved.app,
-        slug: resolved.slug,
-        work,
-    };
+    if stream {
+        job.work = streamed_stdio_work(job.work, Arc::clone(&gate));
+    }
     let outcome = supervise(&job, 0, &config.policy);
     // Close the gate before the terminal line: blocks until any
     // in-flight frame write finishes, then stragglers no-op.
@@ -466,7 +460,7 @@ fn run_one_job(wire: &str, config: &ServeConfig, resolver: &Resolver) -> String 
         .as_ref()
         .map(|r| r.obs.counters.interp_ticks)
         .unwrap_or(0);
-    let (ok, fragment) = result_fragment(&key, &outcome);
+    let (ok, fragment) = result_fragment(&prepared.key, &outcome);
     render_worker_response(ok, ticks, &fragment)
 }
 
@@ -479,11 +473,9 @@ fn render_worker_response(ok: bool, ticks: u64, fragment: &str) -> String {
     )
 }
 
+/// The response for a job line that never resolved to a job.
 fn worker_error_line(error: &str) -> String {
-    let fragment = format!(
-        "\"key\":\"\",\"app\":\"\",\"slug\":\"\",\"status\":\"failed\",\"attempts\":0,\"error\":\"{}\"",
-        crate::serve::json_escape(error)
-    );
+    let fragment = job_fragment("", "", "", "failed", 0, &error_fragment(error));
     render_worker_response(false, 0, &fragment)
 }
 

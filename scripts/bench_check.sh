@@ -197,7 +197,7 @@ stats-schema)
     trap 'rm -rf "$TMP"; [ -n "${daemon_pid:-}" ] && kill "$daemon_pid" 2>/dev/null || true' EXIT
 
     cargo build --release --bin jsceresd
-    target/release/jsceresd --addr 127.0.0.1:0 --in-process --workers 1 \
+    target/release/jsceresd --addr 127.0.0.1:0 --workers 1 \
         > "$TMP/out" 2> "$TMP/err" &
     daemon_pid=$!
     for _ in $(seq 1 50); do
@@ -231,6 +231,8 @@ def rpc(line):
 
 stats = rpc('{"op":"stats"}')
 assert rpc('{"op":"shutdown"}')["ok"]
+if stats["backend"] != "process":
+    sys.exit(f"FAIL: stats reports backend {stats['backend']!r}, want 'process'")
 
 def flatten(obj, prefix=""):
     """Dotted key paths; lists contribute their first element as `[]`."""

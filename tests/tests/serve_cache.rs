@@ -9,39 +9,16 @@
 //! only when an intentional protocol or analysis change lands (and say
 //! so in the commit).
 
+mod common;
+
 use ceres_core::fleet::{FleetOutcome, API_SCHEMA_VERSION};
 use ceres_core::serve::ONESHOT_SCHEMA_VERSION;
-use ceres_core::{serve, AnalyzeOptions, CacheKey, Mode, ServeConfig, ServerHandle};
-use ceres_workloads::{registry_resolver, workload_html};
+use ceres_core::{AnalyzeOptions, CacheKey, Mode, ServeConfig};
+use ceres_workloads::workload_html;
+use common::{payload_tail, roundtrip, start, tmpdir};
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 
 const ENVELOPE_GOLDEN: &str = include_str!("../golden/serve_envelope.json");
-
-fn start(config: ServeConfig) -> ServerHandle {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let policy = config.policy.clone();
-    serve(listener, config, registry_resolver(policy))
-}
-
-fn roundtrip(addr: SocketAddr, line: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(format!("{line}\n").as_bytes())
-        .expect("send");
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    reader.read_line(&mut response).expect("response");
-    response.trim_end().to_string()
-}
-
-/// Everything after the request-specific prefix (`id`/`cached` differ
-/// between cold and warm by design; the result payload must not).
-fn payload_tail(response: &str) -> &str {
-    let at = response.find("\"key\":").expect("key field in response");
-    &response[at..]
-}
 
 // ---------------------------------------------------------------------
 // Versioned envelope
@@ -151,52 +128,67 @@ fn cache_keys_never_collide_across_workloads_and_options() {
 // ---------------------------------------------------------------------
 // Warm hits through the registry resolver
 
-/// A repeated `{"app":...}` request is served from the cache
-/// byte-identically without re-entering the interpreter.
+/// A repeated request — a registry `{"app":...}` or inline source — is
+/// served from the cache byte-identically without re-entering the
+/// interpreter.
 #[test]
 fn registry_app_warm_hit_is_byte_identical_with_zero_new_ticks() {
     let server = start(ServeConfig::default());
     let addr = server.local_addr();
-    let req = r#"{"id":"a1","app":"haar","mode":"light"}"#;
+    let requests = [
+        ("haar", r#""app":"haar","mode":"light""#),
+        (
+            "inline",
+            r#""source":"var t = 0; for (var i = 0; i < 8; i++) { t += i; }","mode":"dependence","seed":7"#,
+        ),
+    ];
+    for (n, (slug, body)) in requests.iter().enumerate() {
+        let ticks_before = server.counters().interp_ticks;
+        let cold = roundtrip(addr, &format!(r#"{{"id":"cold",{body}}}"#));
+        assert!(cold.contains("\"ok\":true"), "{cold}");
+        assert!(cold.contains("\"cached\":false"), "{cold}");
+        assert!(cold.contains(&format!("\"slug\":\"{slug}\"")), "{cold}");
+        let ticks_after_cold = server.counters().interp_ticks;
+        assert!(ticks_after_cold > ticks_before, "cold run must interpret");
 
-    let cold = roundtrip(addr, req);
-    assert!(cold.contains("\"ok\":true"), "{cold}");
-    assert!(cold.contains("\"cached\":false"), "{cold}");
-    assert!(cold.contains("\"slug\":\"haar\""), "{cold}");
-    let ticks_after_cold = server.counters().interp_ticks;
-    assert!(ticks_after_cold > 0, "cold run must interpret");
+        let warm = roundtrip(addr, &format!(r#"{{"id":"warm",{body}}}"#));
+        assert!(warm.contains("\"cached\":true"), "{warm}");
+        assert_eq!(
+            payload_tail(&cold),
+            payload_tail(&warm),
+            "warm payload must be byte-identical"
+        );
+        assert_eq!(
+            server.counters().interp_ticks,
+            ticks_after_cold,
+            "warm hit must not re-enter the interpreter"
+        );
+        assert_eq!(server.counters().cache_hits, n as u64 + 1);
+    }
+    server.shutdown();
+}
 
-    let warm = roundtrip(addr, r#"{"id":"a2","app":"haar","mode":"light"}"#);
-    assert!(warm.contains("\"cached\":true"), "{warm}");
-    assert_eq!(
-        payload_tail(&cold),
-        payload_tail(&warm),
-        "warm payload must be byte-identical"
+/// The same source under different options is a different cache entry.
+#[test]
+fn different_options_miss_the_cache() {
+    let server = start(ServeConfig::default());
+    let addr = server.local_addr();
+    let a = roundtrip(addr, r#"{"source":"var x = 1;","mode":"dependence"}"#);
+    let b = roundtrip(addr, r#"{"source":"var x = 1;","mode":"loop-profile"}"#);
+    let c = roundtrip(
+        addr,
+        r#"{"source":"var x = 1;","mode":"dependence","seed":9}"#,
     );
-    assert_eq!(
-        server.counters().interp_ticks,
-        ticks_after_cold,
-        "warm hit must not re-enter the interpreter"
-    );
-    assert_eq!(server.counters().cache_hits, 1);
+    for r in [&a, &b, &c] {
+        assert!(r.contains("\"cached\":false"), "{r}");
+    }
+    assert_eq!(server.counters().cache_misses, 3);
+    assert_eq!(server.counters().cache_hits, 0);
     server.shutdown();
 }
 
 // ---------------------------------------------------------------------
 // Sharding and persistence
-
-/// A fresh scratch directory (std-only; no tempfile crate).
-fn tmpdir(label: &str) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NONCE: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ceres-serve-cache-test-{label}-{}-{}",
-        std::process::id(),
-        NONCE.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("create tmpdir");
-    dir
-}
 
 /// Distinct requests route across the cache shards, and the per-shard
 /// accounting in the `stats` op sums to the totals.
@@ -322,17 +314,21 @@ fn corrupt_persisted_shard_lines_are_skipped_not_served() {
 // Cross-instance determinism
 
 /// Canonical payloads are a function of the request alone: concurrent
-/// clients against two *separate* daemon instances (separate caches,
-/// separate worker pools) converge on one payload.
+/// identical cold misses racing on one instance's workers, and clients
+/// of two *separate* daemon instances (separate caches, separate worker
+/// pools), all converge on one payload.
 #[test]
 fn concurrent_clients_and_instances_agree_on_canonical_payloads() {
-    let a = start(ServeConfig::default());
+    let a = start(ServeConfig {
+        workers: 4,
+        ..ServeConfig::default()
+    });
     let b = start(ServeConfig::default());
     let req = r#"{"source":"var s = 0; for (var i = 0; i < 12; i++) { s += i * i; }","mode":"dependence","seed":2015}"#;
 
     let mut handles = Vec::new();
     for addr in [a.local_addr(), b.local_addr()] {
-        for _ in 0..3 {
+        for _ in 0..4 {
             let req = req.to_string();
             handles.push(std::thread::spawn(move || roundtrip(addr, &req)));
         }

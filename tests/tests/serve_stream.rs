@@ -11,30 +11,15 @@
 //! only when an intentional protocol or analysis change lands (and say
 //! so in the commit).
 
-use ceres_core::supervisor::WorkerSpec;
-use ceres_core::{serve, ServeConfig, ServerHandle};
-use ceres_workloads::registry_resolver;
+mod common;
+
+use ceres_core::ServeConfig;
+use common::{payload_tail, roundtrip, start};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 const STREAM_GOLDEN: &str = include_str!("../golden/serve_stream.json");
-
-fn start(config: ServeConfig) -> ServerHandle {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let policy = config.policy.clone();
-    serve(listener, config, registry_resolver(policy))
-}
-
-/// The production worker loop, as a spawnable test binary (see
-/// `tests/bin/serve_worker_harness.rs`).
-fn harness_spec() -> WorkerSpec {
-    WorkerSpec {
-        program: PathBuf::from(env!("CARGO_BIN_EXE_serve-worker-harness")),
-        args: Vec::new(),
-    }
-}
 
 /// One received frame: raw line, parsed JSON, and arrival time (for
 /// cross-client interleaving assertions).
@@ -194,21 +179,16 @@ fn stream_result_fragment_matches_oneshot_envelope() {
     // Different seed axis not used: same request one-shot ⇒ warm hit,
     // which is exactly what we want — the cached fragment IS the cold
     // streamed fragment if and only if both paths share bytes.
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(format!("{{\"id\":\"o\",\"source\":\"{src}\",\"mode\":\"dep\"}}\n").as_bytes())
-        .expect("send");
-    let mut oneshot = String::new();
-    BufReader::new(stream)
-        .read_line(&mut oneshot)
-        .expect("response");
+    let oneshot = roundtrip(
+        addr,
+        &format!(r#"{{"id":"o","source":"{src}","mode":"dep"}}"#),
+    );
     server.shutdown();
 
-    let tail = |s: &str| s[s.find("\"key\":").expect("key field")..].to_string();
     let terminal = &streamed.last().expect("terminal").line;
     assert_eq!(
-        tail(terminal),
-        tail(oneshot.trim_end()),
+        payload_tail(terminal),
+        payload_tail(&oneshot),
         "stream result and one-shot envelope must share payload bytes"
     );
     assert!(oneshot.contains("\"cached\":true"), "{oneshot}");
@@ -447,19 +427,16 @@ fn spilled_streaming_jobs_get_an_immediate_notice_and_still_finish() {
 // ---------------------------------------------------------------------
 // Mid-stream worker crash
 
-/// Process backend: a worker that dies mid-stream leaves the client
-/// with its early `phase` frames and a clean terminal `error` — never a
-/// hung or desynced stream.
+/// A worker that dies mid-stream leaves the client with its early
+/// `phase` frames and a clean terminal `error` — never a hung or
+/// desynced stream.
 #[test]
 fn worker_crash_mid_stream_ends_in_a_terminal_error() {
-    let mut config = ServeConfig {
+    let server = start(ServeConfig {
         workers: 1,
         parse_workers: 1,
-        worker_spec: Some(harness_spec()),
         ..ServeConfig::default()
-    };
-    config.policy.backoff = Duration::from_millis(1);
-    let server = start(config);
+    });
     let addr = server.local_addr();
 
     let frames = stream_job(

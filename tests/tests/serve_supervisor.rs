@@ -1,62 +1,57 @@
 //! Integration tests for the multi-process serving architecture: worker
 //! crash isolation (a dying worker process costs one job, never the
-//! daemon), spill-queue admission under overflow, and the
-//! drain-flush → restart-replay lifecycle. The operator-facing story
-//! these tests pin down is in `docs/OPERATIONS.md`.
+//! daemon), injected faults contained inside the worker, spill-queue
+//! admission under overflow, and the drain-flush → restart-replay
+//! lifecycle. The operator-facing story these tests pin down is in
+//! `docs/OPERATIONS.md`.
 
-use ceres_core::supervisor::WorkerSpec;
-use ceres_core::{serve, ServeConfig, ServerHandle};
-use ceres_workloads::registry_resolver;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
+
+use ceres_core::ServeConfig;
+use common::{payload_tail, roundtrip, start, tmpdir};
 use std::time::{Duration, Instant};
 
-/// A fresh scratch directory (std-only; no tempfile crate).
-fn tmpdir(label: &str) -> PathBuf {
-    static NONCE: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "ceres-supervisor-test-{label}-{}-{}",
-        std::process::id(),
-        NONCE.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("create tmpdir");
-    dir
-}
-
-/// The production worker loop, as a spawnable test binary.
-fn harness_spec() -> WorkerSpec {
-    WorkerSpec {
-        program: PathBuf::from(env!("CARGO_BIN_EXE_serve-worker-harness")),
-        args: Vec::new(),
-    }
-}
-
-fn start(config: ServeConfig) -> ServerHandle {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let policy = config.policy.clone();
-    serve(listener, config, registry_resolver(policy))
-}
-
-fn roundtrip(addr: SocketAddr, line: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(format!("{line}\n").as_bytes())
-        .expect("send");
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    reader.read_line(&mut response).expect("response");
-    response.trim_end().to_string()
-}
-
-fn payload_tail(response: &str) -> &str {
-    let at = response.find("\"key\":").expect("key field in response");
-    &response[at..]
-}
-
 // ---------------------------------------------------------------------
-// Crash isolation
+// Fault isolation
+
+/// Injected faults run under the worker's own supervisor and never touch
+/// the cache: a panic is contained and reported, a transient error
+/// clears on retry without its result being stored, and a warm entry
+/// never short-circuits a later injected request.
+#[test]
+fn injected_faults_exercise_the_supervisor_and_skip_the_cache() {
+    let server = start(ServeConfig::default());
+    let addr = server.local_addr();
+
+    // A panic is contained and reported, not fatal to the worker.
+    let p = roundtrip(addr, r#"{"source":"var x;","inject":"panic"}"#);
+    assert!(p.contains("\"status\":\"panicked\""), "{p}");
+    assert!(p.contains("\"ok\":false"), "{p}");
+
+    // A transient error clears on retry; the result is real but must
+    // not be cached (attempts differ from a clean run).
+    let e = roundtrip(addr, r#"{"source":"var x;","inject":"error"}"#);
+    assert!(e.contains("\"status\":\"ok\""), "{e}");
+    assert!(e.contains("\"attempts\":2"), "{e}");
+    let clean = roundtrip(addr, r#"{"source":"var x;"}"#);
+    assert!(
+        clean.contains("\"cached\":false"),
+        "injected result leaked: {clean}"
+    );
+    assert!(clean.contains("\"attempts\":1"), "{clean}");
+
+    // And the reverse leak: a warm cache entry must not short-circuit
+    // a later injected request — the fault has to actually run.
+    let e2 = roundtrip(addr, r#"{"source":"var x;","inject":"error"}"#);
+    assert!(e2.contains("\"cached\":false"), "{e2}");
+    assert!(e2.contains("\"attempts\":2"), "{e2}");
+
+    let counters = server.counters();
+    assert_eq!(counters.jobs_failed, 1, "{counters:?}");
+    assert_eq!(counters.jobs_ok, 3, "{counters:?}");
+    assert_eq!(counters.worker_restarts, 0, "{counters:?}");
+    server.shutdown();
+}
 
 /// `inject:"crash"` aborts the worker *process* mid-job. The job must
 /// fail cleanly (status `worker-crashed`), the supervisor must report
@@ -66,7 +61,6 @@ fn payload_tail(response: &str) -> &str {
 fn worker_crash_during_job_fails_cleanly_and_daemon_keeps_serving() {
     let server = start(ServeConfig {
         workers: 2,
-        worker_spec: Some(harness_spec()),
         ..ServeConfig::default()
     });
     let addr = server.local_addr();
@@ -121,7 +115,6 @@ fn worker_crash_during_job_fails_cleanly_and_daemon_keeps_serving() {
 fn crash_on_one_worker_does_not_disturb_jobs_on_others() {
     let server = start(ServeConfig {
         workers: 3,
-        worker_spec: Some(harness_spec()),
         ..ServeConfig::default()
     });
     let addr = server.local_addr();
@@ -214,10 +207,11 @@ fn overflow_spills_fifo_and_replies_route_to_the_right_clients() {
 // ---------------------------------------------------------------------
 // Drain flush → restart replay
 
-/// Graceful drain must not silently drop accepted jobs: with a
-/// persistent spill directory, the queued tail is flushed to disk and
-/// its clients told explicitly; a restarted daemon replays the backlog
-/// into its cache so a retry is a warm hit.
+/// Graceful drain must not silently drop accepted jobs: a client's
+/// `shutdown` op starts the drain, and with a persistent spill directory
+/// the queued tail is flushed to disk and its clients told explicitly;
+/// a restarted daemon replays the backlog into its cache so a retry is
+/// a warm hit.
 #[test]
 fn drain_flushes_the_tail_and_restart_replays_it_into_the_cache() {
     let spill_dir = tmpdir("drain-replay");
@@ -248,7 +242,10 @@ fn drain_flushes_the_tail_and_restart_replays_it_into_the_cache() {
         })
         .collect();
     std::thread::sleep(Duration::from_millis(60));
-    server.shutdown();
+    let bye = roundtrip(addr, r#"{"op":"shutdown"}"#);
+    assert!(bye.contains("\"draining\":true"), "{bye}");
+    let drained = server.join();
+    assert!(drained.requests >= 1, "{drained:?}");
     let mut drained_notices = 0;
     for h in handles {
         let r = h.join().unwrap();
