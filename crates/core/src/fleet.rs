@@ -39,7 +39,7 @@
 #![deny(missing_docs)]
 
 use crate::classify::NestClassification;
-use crate::pipeline::AppRun;
+use crate::pipeline::{AppRun, Timing};
 use crate::stack::render;
 use ceres_instrument::Mode;
 use serde::{Deserialize, Serialize};
@@ -236,7 +236,7 @@ impl AppReport {
             total_ms: run.total_ms,
             active_ms: run.active_ms,
             loops_ms: run.loops_ms,
-            loop_pct: 100.0 * run.loop_fraction(),
+            loop_pct: Timing::new(run.total_ms, run.active_ms, run.loops_ms).loop_pct,
             nests,
             warnings,
             obs,

@@ -103,7 +103,9 @@ pub use stack::{
     CharBits, Characterization, Flag,
 };
 pub use suggest::{render_suggestions, suggest, Suggestion};
-pub use supervisor::{worker_serve_stdio, SlotOutcome, WorkerResponse, WorkerSlot, WorkerSpec};
+pub use supervisor::{
+    worker_serve_stdio, SlotOutcome, WorkerLine, WorkerResponse, WorkerSlot, WorkerSpec,
+};
 pub use tasks::{task_limit_study, TaskLimitStudy, TaskRecord};
 pub use welford::Welford;
 pub use whatif::{

@@ -93,22 +93,24 @@ pub enum Progress {
     /// (tick range deterministic, wall fields noisy — wire renderers
     /// must use the tick fields only).
     Phase(PhaseSpan),
-    /// An early per-app result fragment: the Table-2 timing row, known
-    /// as soon as interpretation ends and long before the nest
-    /// classification and report render. Pre-rendered JSON object body
-    /// (no braces), deterministic.
-    Partial(String),
+    /// An early per-app result: the Table-2 timing row, known as soon
+    /// as interpretation ends and long before the nest classification
+    /// and report render. Deterministic.
+    Partial(crate::pipeline::Timing),
 }
 
+/// A thread's installed progress callback.
+type ProgressSink = Box<dyn FnMut(&Progress)>;
+
 thread_local! {
-    static PROGRESS_SINK: RefCell<Option<Box<dyn FnMut(&Progress)>>> = const { RefCell::new(None) };
+    static PROGRESS_SINK: RefCell<Option<ProgressSink>> = const { RefCell::new(None) };
 }
 
 /// Restores the previously installed sink (usually `None`) when
 /// dropped, so a panicking attempt cannot leak its sink into the next
 /// job that reuses the thread.
 pub struct ProgressSinkGuard {
-    prev: Option<Box<dyn FnMut(&Progress)>>,
+    prev: Option<ProgressSink>,
     armed: bool,
 }
 

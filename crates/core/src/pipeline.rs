@@ -25,6 +25,7 @@ use crate::report::{
 use ceres_dom::{extract_scripts, splice_scripts, DomHandle};
 use ceres_instrument::{instrument_program, Mode};
 use ceres_interp::{Control, Interp, JsResult, TICKS_PER_MS};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A document the web server can serve.
@@ -84,11 +85,7 @@ impl AppRun {
     /// Fraction of total time spent in loops, the paper's latent-parallelism
     /// upper-bound proxy (Sec. 4.1).
     pub fn loop_fraction(&self) -> f64 {
-        if self.total_ms == 0.0 {
-            0.0
-        } else {
-            self.loops_ms / self.total_ms
-        }
+        loop_fraction(self.loops_ms, self.total_ms)
     }
 
     /// The Fortuna-style task-parallelism limit study over this run's
@@ -107,6 +104,40 @@ impl AppRun {
             .unwrap_or_else(|_| ceres_ast::Program::empty());
         let features = static_features(&program);
         classify_nests(&self.engine.borrow(), &features)
+    }
+}
+
+/// A run's Table-2 timing row, as [`AppRun`] times it plus the loop
+/// share in percent: the final report's first four figures, which a
+/// streaming client already gets in the `partial` frame the moment
+/// interpretation ends.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Timing {
+    pub total_ms: f64,
+    pub active_ms: f64,
+    pub loops_ms: f64,
+    pub loop_pct: f64,
+}
+
+impl Timing {
+    /// The row for these times. The one place `loop_pct` is computed,
+    /// so the `partial` frame and the report never differ.
+    pub fn new(total_ms: f64, active_ms: f64, loops_ms: f64) -> Timing {
+        Timing {
+            total_ms,
+            active_ms,
+            loops_ms,
+            loop_pct: 100.0 * loop_fraction(loops_ms, total_ms),
+        }
+    }
+}
+
+/// The share of `total_ms` that `loops_ms` is; 0 for an empty run.
+fn loop_fraction(loops_ms: f64, total_ms: f64) -> f64 {
+    if total_ms == 0.0 {
+        0.0
+    } else {
+        loops_ms / total_ms
     }
 }
 
@@ -321,19 +352,10 @@ pub fn analyze(
     // Early result for streaming consumers: the Table-2 timing row is
     // fully determined the moment interpretation ends, well before nest
     // classification and report rendering. All four fields are
-    // virtual-clock-derived, so the fragment is deterministic (and
-    // golden-pinnable). serde_json formats the floats exactly like the
-    // final report serializer, so a partial frame never shows a value
-    // the terminal report then prints differently.
-    crate::obs::emit_progress(&crate::obs::Progress::Partial(partial_timing_fragment(
-        total_ms,
-        active_ms,
-        loops_ms,
-        if total_ms == 0.0 {
-            0.0
-        } else {
-            100.0 * loops_ms / total_ms
-        },
+    // virtual-clock-derived, so the row is deterministic (and
+    // golden-pinnable).
+    crate::obs::emit_progress(&crate::obs::Progress::Partial(Timing::new(
+        total_ms, active_ms, loops_ms,
     )));
 
     let counters = {
@@ -372,19 +394,6 @@ pub fn analyze(
         source: combined_source,
         obs,
     })
-}
-
-/// Render the deterministic early-timing fragment for a `partial`
-/// streaming frame (object body, no braces).
-fn partial_timing_fragment(total_ms: f64, active_ms: f64, loops_ms: f64, loop_pct: f64) -> String {
-    let f = |v: f64| serde_json::to_string(&v).expect("f64 serializes");
-    format!(
-        "\"total_ms\":{},\"active_ms\":{},\"loops_ms\":{},\"loop_pct\":{}",
-        f(total_ms),
-        f(active_ms),
-        f(loops_ms),
-        f(loop_pct)
-    )
 }
 
 /// What the serving layer's *parse stage* learns about a job before an

@@ -73,11 +73,12 @@ use crate::fleet::{
     AppOutcome, AppReport, FleetJob, FleetPolicy, JobError, JobWork, API_SCHEMA_VERSION,
 };
 use crate::obs::{FleetMetrics, ServeCounters};
-use crate::pipeline::{analyze, AnalyzeOptions, Document, WebServer};
-use crate::spill::SpillQueue;
+use crate::pipeline::{analyze, AnalyzeOptions, Document, Timing, WebServer};
+use crate::spill::{SpillQueue, SpillStats};
 use crate::supervisor::{SlotOutcome, WorkerSlot, WorkerSpec};
 use ceres_instrument::Mode;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -177,61 +178,28 @@ pub fn mode_wire_name(mode: Mode) -> &'static str {
     }
 }
 
-/// Minimal JSON string escaping for hand-assembled envelope fields.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render a request as a self-contained single-line job spec: the
 /// analysis options are written out *explicitly* from the resolved
 /// `opts` (not the raw request), so a worker process — or a replay after
 /// restart — computes the identical [`CacheKey`] regardless of its own
 /// defaults. This is both the spill-queue payload and the
-/// supervisor→worker job line. Only fields that are present are
-/// emitted, so the output round-trips through the ordinary
-/// [`AnalysisRequest`] parser.
+/// supervisor→worker job line: an [`AnalysisRequest`] without `op` or
+/// `id`, whose absent fields are written as `null`.
 pub fn request_wire_json(req: &AnalysisRequest, opts: &AnalyzeOptions) -> String {
-    let mut parts = Vec::with_capacity(8);
-    if let Some(app) = &req.app {
-        parts.push(format!("\"app\":\"{}\"", json_escape(app)));
-    }
-    if let Some(src) = &req.source {
-        parts.push(format!("\"source\":\"{}\"", json_escape(src)));
-    }
-    parts.push(format!("\"mode\":\"{}\"", mode_wire_name(opts.mode)));
-    parts.push(format!("\"seed\":{}", opts.seed));
-    if let Some(f) = opts.focus {
-        parts.push(format!("\"focus\":{}", f.0));
-    }
-    parts.push(format!("\"max_events\":{}", opts.max_events));
-    if let Some(t) = opts.max_ticks {
-        parts.push(format!("\"max_ticks\":{t}"));
-    }
-    if let Some(s) = req.scale {
-        parts.push(format!("\"scale\":{s}"));
-    }
-    if let Some(i) = &req.inject {
-        parts.push(format!("\"inject\":\"{}\"", json_escape(i)));
-    }
-    if req.stream == Some(true) {
-        // Carried so a worker *process* knows to emit frame lines on its
-        // stdout pipe; a replayed spill job with no waiting client keeps
-        // the flag but its frames are discarded supervisor-side.
-        parts.push("\"stream\":true".to_string());
-    }
-    format!("{{{}}}", parts.join(","))
+    // `stream` is carried so a worker *process* knows to emit frame
+    // lines on its stdout pipe; a replayed spill job with no waiting
+    // client keeps the flag but its frames are discarded supervisor-side.
+    let job = AnalysisRequest {
+        op: None,
+        id: None,
+        mode: Some(mode_wire_name(opts.mode).to_string()),
+        seed: Some(opts.seed),
+        focus: opts.focus.map(|f| f.0),
+        max_events: Some(opts.max_events as u64),
+        max_ticks: opts.max_ticks,
+        ..req.clone()
+    };
+    serde_json::to_string(&job).expect("AnalysisRequest serializes")
 }
 
 // ---------------------------------------------------------------------
@@ -242,9 +210,9 @@ pub fn request_wire_json(req: &AnalysisRequest, opts: &AnalyzeOptions) -> String
 /// sequence of frames ending in exactly one terminal frame; a schema-1
 /// one-shot response is the degenerate case — a single terminal frame
 /// rendered as the legacy envelope. Every response line on the wire
-/// (both schemas) goes through [`render_frame`], so there is exactly
-/// one place envelope bytes are assembled.
-#[derive(Debug, Clone)]
+/// (both schemas) goes through [`render_frame`]; worker processes
+/// stream `phase` and `partial` frames to the supervisor as serde lines.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Frame {
     /// The job passed admission and is queued; `queue_depth` is its
     /// position-ish depth at admission (ring length, plus spill depth
@@ -268,12 +236,8 @@ pub enum Frame {
     },
     /// An early per-app result: the Table-2 timing row, known the
     /// moment interpretation ends, long before nest classification and
-    /// report rendering. The fragment is a pre-rendered JSON object
-    /// body, deterministic.
-    Partial {
-        /// Pre-rendered JSON object body (no surrounding braces).
-        fragment: String,
-    },
+    /// report rendering. Deterministic.
+    Partial(Timing),
     /// Out-of-band queue event: the job spilled to disk, or the server
     /// is draining. Never terminal, never cached.
     Notice {
@@ -321,64 +285,100 @@ impl Frame {
     }
 }
 
-/// Render one frame as one wire line (sans newline). Schema 1 renders
-/// only terminal frames — no `type`, no `seq`, the legacy envelope
-/// byte-for-byte. Schema 2 stamps every frame with its type and the
-/// per-response sequence number.
-pub fn render_frame(schema: u32, id: &str, seq: u64, frame: &Frame) -> String {
-    if schema == ONESHOT_SCHEMA_VERSION {
-        let (ok, cached, fragment) = match frame {
-            Frame::Result {
-                ok,
-                cached,
-                fragment,
-            } => (*ok, *cached, fragment.clone()),
-            Frame::Error { fragment } => (false, false, fragment.clone()),
-            // Non-terminal frames have no schema-1 form; the one-shot
-            // path never writes them. A defensive render keeps this
-            // function total.
-            other => (
-                false,
-                false,
-                error_fragment(&format!(
-                    "internal: `{}` frame in a one-shot response",
-                    other.type_name()
-                )),
-            ),
-        };
-        return format!(
-            "{{\"schema\":{schema},\"id\":\"{}\",\"ok\":{ok},\"cached\":{cached},{fragment}}}",
-            json_escape(id)
-        );
+/// The head of every response line. A one-shot (schema 1) line carries
+/// no `type` or `seq`, and a non-terminal schema-2 frame no `ok` or
+/// `cached`; [`render_frame`] leaves out a field that is `None`.
+#[derive(Serialize)]
+struct Head {
+    schema: u32,
+    r#type: Option<&'static str>,
+    id: String,
+    seq: Option<u64>,
+    ok: Option<bool>,
+    cached: Option<bool>,
+}
+
+/// A job's payload fragment: which job and how it ended, then its
+/// report and metrics, or its error. [`job_fragment`] leaves out the
+/// fields that are `None`.
+#[derive(Serialize)]
+struct JobReply {
+    key: String,
+    app: String,
+    slug: String,
+    status: String,
+    attempts: u32,
+    report: Option<AppReport>,
+    metrics: Option<FleetMetrics>,
+    error: Option<String>,
+}
+
+/// The body of an error reply.
+#[derive(Serialize)]
+struct ErrorBody {
+    error: String,
+}
+
+/// The fields of `v`'s JSON object, in declaration order.
+fn fields(v: &impl Serialize) -> Vec<(String, Value)> {
+    match serde_json::to_value(v) {
+        Ok(Value::Map(fields)) => fields,
+        _ => unreachable!("wire types serialize to JSON objects"),
     }
-    let body = match frame {
-        Frame::Accepted { queue_depth } => format!("\"queue_depth\":{queue_depth}"),
-        Frame::Phase {
-            phase,
-            start_ticks,
-            end_ticks,
-        } => format!(
-            "\"phase\":\"{}\",\"start_ticks\":{start_ticks},\"end_ticks\":{end_ticks}",
-            json_escape(phase)
-        ),
-        Frame::Partial { fragment } => fragment.clone(),
-        Frame::Notice { notice } => format!("\"notice\":\"{}\"", json_escape(notice)),
+}
+
+/// `fields` as a payload fragment: a JSON object body, no braces.
+fn fragment(fields: Vec<(String, Value)>) -> String {
+    let object = Value::Map(fields).to_string();
+    object[1..object.len() - 1].to_string()
+}
+
+/// Join a head to a payload fragment as one JSON line: the one place a
+/// fragment meets serialized JSON. The fragment's bytes are copied as
+/// they are, never parsed or re-serialized — a warm hit replays them.
+fn splice(head: Vec<(String, Value)>, fragment: &str) -> String {
+    let head = Value::Map(head).to_string();
+    format!("{},{fragment}}}", &head[..head.len() - 1])
+}
+
+/// Render one frame as one wire line (sans newline). Schema 1 renders
+/// a terminal frame as the legacy envelope byte-for-byte — no `type`,
+/// no `seq` — and the one-shot path writes no other frames. Schema 2
+/// stamps every frame with its type and the per-response sequence
+/// number.
+pub fn render_frame(schema: u32, id: &str, seq: u64, frame: &Frame) -> String {
+    let stream = schema != ONESHOT_SCHEMA_VERSION;
+    let (ok, cached, fragment) = match frame {
         Frame::Result {
             ok,
             cached,
             fragment,
-        } => format!("\"ok\":{ok},\"cached\":{cached},{fragment}"),
-        Frame::Error { fragment } => format!("\"ok\":false,\"cached\":false,{fragment}"),
+        } => (Some(*ok), Some(*cached), Some(fragment)),
+        Frame::Error { fragment } => (Some(false), Some(false), Some(fragment)),
+        _ => (None, None, None),
     };
-    format!(
-        "{{\"schema\":{schema},\"type\":\"{}\",\"id\":\"{}\",\"seq\":{seq},{body}}}",
-        frame.type_name(),
-        json_escape(id)
-    )
+    let mut head = fields(&Head {
+        schema,
+        r#type: stream.then(|| frame.type_name()),
+        id: id.to_string(),
+        seq: stream.then_some(seq),
+        ok,
+        cached,
+    });
+    head.retain(|(_, v)| !v.is_null());
+    if let Some(fragment) = fragment {
+        return splice(head, fragment);
+    }
+    // A frame serializes externally tagged, `{"Phase":{…}}`: its own
+    // fields are the tag's object.
+    if let Some((_, Value::Map(body))) = fields(frame).pop() {
+        head.extend(body);
+    }
+    Value::Map(head).to_string()
 }
 
 /// The legacy one-shot envelope: a degenerate single-`result` render.
-fn envelope(id: &str, ok: bool, cached: bool, fragment: &str) -> String {
+fn envelope(id: &str, ok: bool, cached: bool, fragment: String) -> String {
     render_frame(
         ONESHOT_SCHEMA_VERSION,
         id,
@@ -386,47 +386,56 @@ fn envelope(id: &str, ok: bool, cached: bool, fragment: &str) -> String {
         &Frame::Result {
             ok,
             cached,
-            fragment: fragment.to_string(),
+            fragment,
         },
     )
 }
 
 /// An error response line (bad request, queue full, draining, ...).
 fn error_line(id: &str, error: &str) -> String {
-    envelope(
-        id,
-        false,
-        false,
-        &format!("\"error\":\"{}\"", json_escape(error)),
-    )
+    envelope(id, false, false, error_fragment(error))
 }
 
 /// An error payload *fragment* (for replies routed through the job
 /// queue, which the connection handler wraps in an envelope itself).
 pub(crate) fn error_fragment(error: &str) -> String {
-    format!("\"error\":\"{}\"", json_escape(error))
+    fragment(fields(&ErrorBody {
+        error: error.to_string(),
+    }))
 }
 
-/// A job's payload fragment: the `key`/`app`/`slug`/`status`/`attempts`
-/// head, then `body` — a finished job's report and metrics, or an
-/// [`error_fragment`]. Every job reply is built here: a result, a
-/// parse-stage rejection, a crashed or unspawnable worker, a job line
-/// the worker cannot resolve. `key` is the cache-key fingerprint
-/// (empty when a job line never resolved).
+/// A job's payload fragment: a finished job's canonical report and
+/// metrics, or the error it failed with. Every job reply is built here:
+/// a result, a parse-stage rejection, a crashed or unspawnable worker, a
+/// job line the worker cannot resolve. `key` is the cache-key
+/// fingerprint (empty when a job line never resolved).
 pub(crate) fn job_fragment(
     key: &str,
     app: &str,
     slug: &str,
     status: &str,
     attempts: u32,
-    body: &str,
+    result: Result<AppReport, &str>,
 ) -> String {
-    format!(
-        "\"key\":\"{key}\",\"app\":\"{}\",\"slug\":\"{}\",\"status\":\"{}\",\"attempts\":{attempts},{body}",
-        json_escape(app),
-        json_escape(slug),
-        json_escape(status),
-    )
+    let (report, error) = match result {
+        Ok(report) => (Some(report), None),
+        Err(error) => (None, Some(error.to_string())),
+    };
+    let metrics = report
+        .as_ref()
+        .map(|r| FleetMetrics::single(&r.app, &r.slug, &r.mode, &r.obs, true));
+    let mut reply = fields(&JobReply {
+        key: key.to_string(),
+        app: app.to_string(),
+        slug: slug.to_string(),
+        status: status.to_string(),
+        attempts,
+        report,
+        metrics,
+        error,
+    });
+    reply.retain(|(_, v)| !v.is_null());
+    fragment(reply)
 }
 
 // ---------------------------------------------------------------------
@@ -582,7 +591,7 @@ impl PreparedJob {
             &self.job.slug,
             status,
             attempts,
-            &error_fragment(error),
+            Err(error),
         )
     }
 }
@@ -631,24 +640,9 @@ pub(crate) fn resolve_job_line(
 /// protocol is line-delimited. The worker process renders every
 /// finished job here, and a warm hit replays the same bytes.
 pub fn result_fragment(key: &CacheKey, outcome: &AppOutcome) -> (bool, String) {
-    let (ok, body) = match &outcome.report {
-        Some(report) => {
-            let canonical = report.canonical();
-            let metrics = FleetMetrics::single(
-                &canonical.app,
-                &canonical.slug,
-                &canonical.mode,
-                &canonical.obs,
-                true,
-            );
-            let report_json = serde_json::to_string(&canonical).expect("AppReport serializes");
-            let metrics_json = serde_json::to_string(&metrics).expect("FleetMetrics serializes");
-            (
-                true,
-                format!("\"report\":{report_json},\"metrics\":{metrics_json}"),
-            )
-        }
-        None => (false, error_fragment(outcome.status.detail().unwrap_or(""))),
+    let result = match &outcome.report {
+        Some(report) => Ok(report.canonical()),
+        None => Err(outcome.status.detail().unwrap_or("")),
     };
     let fragment = job_fragment(
         &key.fingerprint(),
@@ -656,9 +650,9 @@ pub fn result_fragment(key: &CacheKey, outcome: &AppOutcome) -> (bool, String) {
         &outcome.slug,
         &outcome.status.label(),
         outcome.attempts,
-        &body,
+        result,
     );
-    (ok, fragment)
+    (outcome.report.is_some(), fragment)
 }
 
 // ---------------------------------------------------------------------
@@ -1360,11 +1354,15 @@ fn handle_line(line: &str, shared: &Arc<Shared>, out: &mut dyn Write) -> std::io
     };
     let id = req.id.clone().unwrap_or_default();
     let response = match req.op.as_deref().unwrap_or("analyze") {
-        "ping" => envelope(&id, true, false, "\"op\":\"ping\""),
-        "stats" => stats_line(&id, shared),
+        "ping" => envelope(&id, true, false, fragment(fields(&Ping { op: "ping" }))),
+        "stats" => envelope(&id, true, false, fragment(fields(&stats(shared)))),
         "shutdown" => {
             begin_drain(shared);
-            envelope(&id, true, false, "\"op\":\"shutdown\",\"draining\":true")
+            let reply = Shutdown {
+                op: "shutdown",
+                draining: true,
+            };
+            envelope(&id, true, false, fragment(fields(&reply)))
         }
         "analyze" => return handle_analyze(&req, &id, shared, out),
         other => error_line(&id, &format!("unknown op `{other}`")),
@@ -1372,65 +1370,101 @@ fn handle_line(line: &str, shared: &Arc<Shared>, out: &mut dyn Write) -> std::io
     write_line(out, &response)
 }
 
-fn stats_line(id: &str, shared: &Arc<Shared>) -> String {
+/// The payload of a `ping` reply.
+#[derive(Serialize)]
+struct Ping {
+    op: &'static str,
+}
+
+/// The payload of a `shutdown` reply.
+#[derive(Serialize)]
+struct Shutdown {
+    op: &'static str,
+    draining: bool,
+}
+
+/// The payload of a `stats` reply, at [`SERVE_STATS_SCHEMA`] (see
+/// `docs/METRICS.md`).
+#[derive(Serialize)]
+struct Stats {
+    op: &'static str,
+    stats_schema: u32,
+    counters: ServeCounters,
+    cache: CacheView,
+    queue_depth: usize,
+    exec_depth: usize,
+    spill: Option<SpillStats>,
+    workers: usize,
+    backend: &'static str,
+    draining: bool,
+}
+
+/// The `cache` block of [`Stats`]: the aggregate traffic, the
+/// persistence counters, then one row per shard.
+#[derive(Serialize)]
+struct CacheView {
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    len: usize,
+    capacity: usize,
+    shards: usize,
+    persistent: bool,
+    loaded: u64,
+    load_corrupt: u64,
+    persisted: u64,
+    per_shard: Vec<ShardView>,
+}
+
+/// One shard's traffic in [`CacheView`].
+#[derive(Serialize)]
+struct ShardView {
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    len: usize,
+}
+
+fn stats(shared: &Arc<Shared>) -> Stats {
     let cache = shared.cache.stats();
     let mut counters = *relock(&shared.counters);
     // The eviction odometer lives in the cache shards; mirror the
     // aggregate into the counters snapshot for one-stop scraping.
     counters.cache_evictions = cache.total.evictions;
-    let (queue_depth, exec_depth, spill) = {
-        let q = relock(&shared.queue);
-        (
-            q.memory.len(),
-            q.exec.len(),
-            q.spill.as_ref().map(|s| s.stats()),
-        )
-    };
-    let counters_json = serde_json::to_string(&counters).expect("ServeCounters serializes");
-    let per_shard = cache
-        .shards
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"len\":{}}}",
-                s.hits, s.misses, s.evictions, s.len
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let spill_json = match spill {
-        Some(s) => format!(
-            "{{\"depth\":{},\"pushed\":{},\"replayed\":{},\"corrupt\":{},\"peak_depth\":{}}}",
-            s.depth, s.pushed, s.replayed, s.corrupt, s.peak_depth
-        ),
-        None => "null".to_string(),
-    };
-    envelope(
-        id,
-        true,
-        false,
-        &format!(
-            "\"op\":\"stats\",\"stats_schema\":{SERVE_STATS_SCHEMA},\
-             \"counters\":{counters_json},\
-             \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"len\":{},\"capacity\":{},\
-             \"shards\":{},\"persistent\":{},\"loaded\":{},\"load_corrupt\":{},\"persisted\":{},\
-             \"per_shard\":[{per_shard}]}},\
-             \"queue_depth\":{queue_depth},\"exec_depth\":{exec_depth},\"spill\":{spill_json},\
-             \"workers\":{},\"backend\":\"process\",\"draining\":{}",
-            cache.total.hits,
-            cache.total.misses,
-            cache.total.evictions,
-            cache.total.len,
-            cache.total.capacity,
-            cache.shards.len(),
-            cache.persistent,
-            cache.loaded,
-            cache.load_corrupt,
-            cache.persisted,
-            shared.config.workers,
-            shared.draining.load(Ordering::SeqCst),
-        ),
-    )
+    let q = relock(&shared.queue);
+    Stats {
+        op: "stats",
+        stats_schema: SERVE_STATS_SCHEMA,
+        counters,
+        cache: CacheView {
+            hits: cache.total.hits,
+            misses: cache.total.misses,
+            evictions: cache.total.evictions,
+            len: cache.total.len,
+            capacity: cache.total.capacity,
+            shards: cache.shards.len(),
+            persistent: cache.persistent,
+            loaded: cache.loaded,
+            load_corrupt: cache.load_corrupt,
+            persisted: cache.persisted,
+            per_shard: cache
+                .shards
+                .iter()
+                .map(|s| ShardView {
+                    hits: s.hits,
+                    misses: s.misses,
+                    evictions: s.evictions,
+                    len: s.len,
+                })
+                .collect(),
+        },
+        queue_depth: q.memory.len(),
+        exec_depth: q.exec.len(),
+        spill: q.spill.as_ref().map(SpillQueue::stats),
+        workers: shared.config.workers,
+        backend: "process",
+        draining: shared.draining.load(Ordering::SeqCst),
+    }
 }
 
 /// Writes the frames of one analyze response, stamping `seq` at write
@@ -2036,7 +2070,7 @@ mod tests {
         let wire = request_wire_json(&req, &opts);
         // The wire spec drops request-identity fields and makes every
         // option explicit.
-        assert!(!wire.contains("\"id\""), "{wire}");
+        assert!(wire.contains("\"id\":null"), "{wire}");
         assert!(wire.contains("\"mode\":\"dependence\""), "{wire}");
         assert!(
             wire.contains(&format!("\"seed\":{}", config.default_seed)),
@@ -2047,9 +2081,59 @@ mod tests {
         // And it round-trips through the ordinary request parser onto
         // the same cache key.
         let parsed: AnalysisRequest = serde_json::from_str(&wire).unwrap();
+        assert_eq!((parsed.op.as_deref(), parsed.id.as_deref()), (None, None));
         let opts2 = request_options(&parsed, &config).unwrap();
         let k1 = CacheKey::of("var q = 1;", &opts, req.scale.unwrap_or(1));
         let k2 = CacheKey::of("var q = 1;", &opts2, parsed.scale.unwrap_or(1));
         assert_eq!(k1.fingerprint(), k2.fingerprint());
+    }
+
+    /// A job line in the shape spill segments had when absent options
+    /// were omitted, not written as `null`, resolves to the same job as
+    /// today's line for the same request: old segments still replay.
+    #[test]
+    fn omitted_field_job_lines_resolve_like_explicit_ones() {
+        let config = ServeConfig::default();
+        let resolver = inline_resolver(config.policy.clone());
+        let cases = [
+            (
+                r#"{"source":"var s = \"a\tb\";","stream":true}"#,
+                r#"{"source":"var s = \"a\tb\";","mode":"loop-profile","seed":2015,"max_events":10000,"stream":true}"#,
+            ),
+            (
+                r#"{"id":"x","source":"var s = 1;","mode":"dep","seed":9}"#,
+                r#"{"source":"var s = 1;","mode":"dependence","seed":9,"max_events":10000}"#,
+            ),
+        ];
+        for (request, omitted) in cases {
+            let req: AnalysisRequest = serde_json::from_str(request).unwrap();
+            let explicit = request_wire_json(&req, &request_options(&req, &config).unwrap());
+            assert!(explicit.contains("\"focus\":null"), "{explicit}");
+            let (old, old_stream) = resolve_job_line(omitted, &config, &resolver).unwrap();
+            let (new, new_stream) = resolve_job_line(&explicit, &config, &resolver).unwrap();
+            assert_eq!(old.key, new.key, "{omitted} vs {explicit}");
+            assert_eq!(old_stream, new_stream, "{omitted} vs {explicit}");
+        }
+    }
+
+    /// An `id` holding characters JSON must escape comes back exactly, on
+    /// a reply and on an error reply.
+    #[test]
+    fn ids_that_need_escaping_come_back_exactly() {
+        let server = start_wire_only();
+        let addr = server.local_addr();
+        let id = "q\"b\\s\nn\tt\u{1}c\u{e9}";
+        for (op, ok) in [("ping", true), ("never", false)] {
+            let request = AnalysisRequest {
+                op: Some(op.to_string()),
+                id: Some(id.to_string()),
+                ..AnalysisRequest::default()
+            };
+            let line = serde_json::to_string(&request).unwrap();
+            let reply: serde_json::Value = serde_json::from_str(&roundtrip(addr, &line)).unwrap();
+            assert_eq!(reply.get("id").and_then(|v| v.as_str()), Some(id), "{op}");
+            assert_eq!(reply.get("ok").and_then(|v| v.as_bool()), Some(ok), "{op}");
+        }
+        server.shutdown();
     }
 }

@@ -32,6 +32,7 @@
 #![deny(missing_docs)]
 
 use crate::cache::sha256_hex;
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
@@ -47,7 +48,7 @@ struct Slot {
 
 /// Counters describing one spill queue's lifetime (surfaced through the
 /// daemon's `stats` op and `docs/METRICS.md`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct SpillStats {
     /// Records currently waiting on disk.
     pub depth: usize,
@@ -139,6 +140,7 @@ impl SpillQueue {
         let mut writer = OpenOptions::new()
             .create(true)
             .write(true)
+            .truncate(false)
             .open(&log_path)?;
         writer.seek(SeekFrom::Start(write_offset))?;
         let reader = File::open(&log_path)?;

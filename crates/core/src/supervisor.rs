@@ -29,9 +29,10 @@
 //! response fragment is built by [`crate::serve::result_fragment`] —
 //! the exact bytes the supervisor caches and a warm hit replays.
 //!
-//! For a `stream:true` job the pipe carries *multiple* lines: zero or
-//! more frame lines (`{"frame":"phase",…}` / `{"frame":"partial",…}`)
-//! followed by exactly one terminal [`WorkerResponse`] line. The
+//! Each line a worker writes is one serde-encoded [`WorkerLine`]. For a
+//! `stream:true` job the pipe carries *multiple* lines: zero or more
+//! [`WorkerLine::Frame`] lines (`phase` and `partial` frames) followed
+//! by exactly one terminal [`WorkerLine::Done`]. The
 //! supervisor multiplexes the frame lines back to the right client
 //! connection ([`WorkerSlot::run`]'s `on_frame` callback); a worker
 //! that crashes mid-stream hits the ordinary crash path — the job is
@@ -45,9 +46,7 @@
 
 use crate::fleet::{supervise, JobWork};
 use crate::obs::Progress;
-use crate::serve::{
-    error_fragment, job_fragment, resolve_job_line, result_fragment, Frame, Resolver, ServeConfig,
-};
+use crate::serve::{job_fragment, resolve_job_line, result_fragment, Frame, Resolver, ServeConfig};
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -66,7 +65,7 @@ pub struct WorkerSpec {
     pub args: Vec<String>,
 }
 
-/// One line of worker stdout: the finished job.
+/// The finished job, as the terminal line of worker stdout reports it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkerResponse {
     /// Whether the job produced a report.
@@ -78,38 +77,14 @@ pub struct WorkerResponse {
     pub fragment: String,
 }
 
-/// A non-terminal frame line on the worker pipe. Discriminated from the
-/// terminal [`WorkerResponse`] by its leading `"frame"` key (both sides
-/// render deterministically, so the prefix check is exact): phase and
-/// partial frames stream through, the terminal line never does.
-#[derive(Debug, Deserialize)]
-struct WorkerFrameLine {
-    frame: String,
-    phase: Option<String>,
-    start_ticks: Option<u64>,
-    end_ticks: Option<u64>,
-    fragment: Option<String>,
-}
-
-/// Parse one worker stdout line as a streamed frame, or `None` if it is
-/// the terminal response (or unrecognized — fail toward the strict
-/// terminal parser, whose error is a crash signal).
-fn parse_worker_frame(line: &str) -> Option<Frame> {
-    if !line.starts_with("{\"frame\":") {
-        return None;
-    }
-    let f: WorkerFrameLine = serde_json::from_str(line).ok()?;
-    match f.frame.as_str() {
-        "phase" => Some(Frame::Phase {
-            phase: f.phase?,
-            start_ticks: f.start_ticks.unwrap_or(0),
-            end_ticks: f.end_ticks.unwrap_or(0),
-        }),
-        "partial" => Some(Frame::Partial {
-            fragment: f.fragment?,
-        }),
-        _ => None,
-    }
+/// One line of worker stdout: a frame streamed mid-job, or the job's
+/// terminal response.
+#[derive(Debug, Serialize, Deserialize)]
+pub enum WorkerLine {
+    /// A `phase` or `partial` frame, forwarded to a streaming client.
+    Frame(Frame),
+    /// The finished job; ends the job's lines.
+    Done(WorkerResponse),
 }
 
 /// Map a pipeline progress event to its streamed frame, if it has one.
@@ -128,29 +103,7 @@ fn frame_for_progress(p: &Progress) -> Option<Frame> {
             }),
             _ => None,
         },
-        Progress::Partial(fragment) => Some(Frame::Partial {
-            fragment: fragment.clone(),
-        }),
-    }
-}
-
-/// Render the worker-side frame line for a streamed frame (the inverse
-/// of [`parse_worker_frame`]); frames with no pipe form render `None`.
-fn render_worker_frame(frame: &Frame) -> Option<String> {
-    match frame {
-        Frame::Phase {
-            phase,
-            start_ticks,
-            end_ticks,
-        } => Some(format!(
-            "{{\"frame\":\"phase\",\"phase\":\"{}\",\"start_ticks\":{start_ticks},\"end_ticks\":{end_ticks}}}",
-            crate::serve::json_escape(phase)
-        )),
-        Frame::Partial { fragment } => Some(format!(
-            "{{\"frame\":\"partial\",\"fragment\":\"{}\"}}",
-            crate::serve::json_escape(fragment)
-        )),
-        _ => None,
+        Progress::Partial(timing) => Some(Frame::Partial(timing.clone())),
     }
 }
 
@@ -217,16 +170,16 @@ impl WorkerChild {
             if trimmed.is_empty() {
                 continue;
             }
-            if let Some(frame) = parse_worker_frame(trimmed) {
-                on_frame(frame);
-                continue;
+            match serde_json::from_str(trimmed) {
+                Ok(WorkerLine::Frame(frame)) if !frame.is_terminal() => on_frame(frame),
+                Ok(WorkerLine::Done(response)) => return Ok(response),
+                other => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("bad worker line: {other:?}"),
+                    ))
+                }
             }
-            return serde_json::from_str(trimmed).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("bad worker response: {e}"),
-                )
-            });
         }
     }
 
@@ -402,11 +355,15 @@ pub fn worker_serve_stdio(config: &ServeConfig, resolver: &Resolver) -> std::io:
         if trimmed.is_empty() {
             continue;
         }
-        let response = run_one_job(trimmed, config, resolver);
-        stdout.write_all(response.as_bytes())?;
-        stdout.write_all(b"\n")?;
-        stdout.flush()?;
+        send_line(&mut stdout, &run_one_job(trimmed, config, resolver))?;
     }
+}
+
+/// Write one line to the supervisor pipe and flush it.
+fn send_line(out: &mut impl Write, line: &WorkerLine) -> std::io::Result<()> {
+    let text = serde_json::to_string(line).expect("worker lines serialize");
+    writeln!(out, "{text}")?;
+    out.flush()
 }
 
 /// Wrap a job's work so each supervised attempt emits frame lines to
@@ -424,15 +381,9 @@ fn streamed_stdio_work(inner: JobWork, gate: Arc<Mutex<bool>>) -> JobWork {
             let Some(frame) = frame_for_progress(p) else {
                 return;
             };
-            let Some(line) = render_worker_frame(&frame) else {
-                return;
-            };
             let open = gate.lock().unwrap_or_else(PoisonError::into_inner);
             if *open {
-                let mut out = std::io::stdout().lock();
-                let _ = out.write_all(line.as_bytes());
-                let _ = out.write_all(b"\n");
-                let _ = out.flush();
+                let _ = send_line(&mut std::io::stdout().lock(), &WorkerLine::Frame(frame));
             }
         }));
         inner(worker, attempt)
@@ -440,11 +391,18 @@ fn streamed_stdio_work(inner: JobWork, gate: Arc<Mutex<bool>>) -> JobWork {
 }
 
 /// Run one job line — streaming frames to stdout when the job asks for
-/// it — and render the terminal worker response line.
-fn run_one_job(wire: &str, config: &ServeConfig, resolver: &Resolver) -> String {
+/// it — and return its terminal worker line.
+fn run_one_job(wire: &str, config: &ServeConfig, resolver: &Resolver) -> WorkerLine {
     let (prepared, stream) = match resolve_job_line(wire, config, resolver) {
         Ok(p) => p,
-        Err(e) => return worker_error_line(&e),
+        // A job line that never resolved to a job.
+        Err(e) => {
+            return WorkerLine::Done(WorkerResponse {
+                ok: false,
+                ticks: 0,
+                fragment: job_fragment("", "", "", "failed", 0, Err(&e)),
+            })
+        }
     };
     let mut job = prepared.job;
     let gate = Arc::new(Mutex::new(true));
@@ -461,22 +419,11 @@ fn run_one_job(wire: &str, config: &ServeConfig, resolver: &Resolver) -> String 
         .map(|r| r.obs.counters.interp_ticks)
         .unwrap_or(0);
     let (ok, fragment) = result_fragment(&prepared.key, &outcome);
-    render_worker_response(ok, ticks, &fragment)
-}
-
-/// Hand-assembled [`WorkerResponse`] line (all fields always present, so
-/// the supervisor-side serde parse never sees an optional).
-fn render_worker_response(ok: bool, ticks: u64, fragment: &str) -> String {
-    format!(
-        "{{\"ok\":{ok},\"ticks\":{ticks},\"fragment\":\"{}\"}}",
-        crate::serve::json_escape(fragment)
-    )
-}
-
-/// The response for a job line that never resolved to a job.
-fn worker_error_line(error: &str) -> String {
-    let fragment = job_fragment("", "", "", "failed", 0, &error_fragment(error));
-    render_worker_response(false, 0, &fragment)
+    WorkerLine::Done(WorkerResponse {
+        ok,
+        ticks,
+        fragment,
+    })
 }
 
 #[cfg(test)]
@@ -519,14 +466,19 @@ mod tests {
     #[test]
     fn echo_protocol_roundtrip_through_a_real_child() {
         // `cat` speaks the protocol trivially: echoes the job line back.
-        // A WorkerResponse-shaped job line therefore parses as the
+        // A terminal-line-shaped job line therefore parses as the
         // response — proving the pipe plumbing end to end.
         let mut slot = WorkerSlot::new(WorkerSpec {
             program: PathBuf::from("/bin/cat"),
             args: vec![],
         });
-        let wire = r#"{"ok":true,"ticks":7,"fragment":"echoed"}"#;
-        let (outcome, restarts) = slot.run(wire, &mut |_| {});
+        let wire = serde_json::to_string(&WorkerLine::Done(WorkerResponse {
+            ok: true,
+            ticks: 7,
+            fragment: "echoed".to_string(),
+        }))
+        .unwrap();
+        let (outcome, restarts) = slot.run(&wire, &mut |_| {});
         match outcome {
             SlotOutcome::Done(resp) => {
                 assert!(resp.ok);
@@ -539,6 +491,35 @@ mod tests {
         assert!(slot.child_id().is_some());
         slot.shutdown();
         assert!(slot.child_id().is_none());
+    }
+
+    /// Every line kind a worker writes survives the pipe encoding: the
+    /// frames a worker streams and a terminal response whose fragment
+    /// needs escaping.
+    #[test]
+    fn worker_lines_round_trip_through_the_pipe_encoding() {
+        let fragment = "\"key\":\"q\\\"u\\\\o\",\"error\":\"a\u{1}b\tc\nd\r é ✓ 😀\"";
+        let lines = [
+            WorkerLine::Frame(Frame::Phase {
+                phase: "interp".to_string(),
+                start_ticks: 3,
+                end_ticks: 272,
+            }),
+            WorkerLine::Frame(Frame::Partial(crate::pipeline::Timing::new(
+                0.136, 0.0, 0.122,
+            ))),
+            WorkerLine::Done(WorkerResponse {
+                ok: false,
+                ticks: u64::MAX,
+                fragment: fragment.to_string(),
+            }),
+        ];
+        for line in lines {
+            let text = serde_json::to_string(&line).unwrap();
+            assert!(!text.contains('\n'), "one line per message: {text}");
+            let back: WorkerLine = serde_json::from_str(&text).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{line:?}"), "{text}");
+        }
     }
 
     #[test]

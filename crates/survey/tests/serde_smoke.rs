@@ -290,3 +290,32 @@ fn respondent_default_is_empty() {
     let json = to_json(&r);
     assert!(json.contains("\"trend_answer\":null"), "{json}");
 }
+
+/// Raw-identifier field and variant names serialize under their bare
+/// names, as upstream serde keys them.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct Head {
+    r#type: Kind,
+}
+
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+enum Kind {
+    r#Match,
+}
+
+#[test]
+fn raw_identifiers_round_trip_under_their_bare_names() {
+    use serde::value::RawValue;
+    let head = Head {
+        r#type: Kind::r#Match,
+    };
+    assert_eq!(to_json(&head), r#"{"type":"Match"}"#);
+    let wire = RawValue::Map(vec![(
+        "type".to_string(),
+        RawValue::Str("Match".to_string()),
+    )]);
+    assert_eq!(
+        <Head as serde::Deserialize>::deserialize_value(&wire),
+        Ok(head)
+    );
+}

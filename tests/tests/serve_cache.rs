@@ -16,9 +16,10 @@ use ceres_core::serve::ONESHOT_SCHEMA_VERSION;
 use ceres_core::{AnalyzeOptions, CacheKey, Mode, ServeConfig};
 use ceres_workloads::workload_html;
 use common::{payload_tail, roundtrip, start, tmpdir};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 const ENVELOPE_GOLDEN: &str = include_str!("../golden/serve_envelope.json");
+const STATS_KEYS_GOLDEN: &str = include_str!("../golden/serve_stats_keys.txt");
 
 // ---------------------------------------------------------------------
 // Versioned envelope
@@ -48,6 +49,47 @@ fn serve_envelope_is_byte_identical_to_golden() {
         got,
         ENVELOPE_GOLDEN.trim_end(),
         "wire envelope drifted from tests/golden/serve_envelope.json"
+    );
+}
+
+/// Dotted key paths of a JSON value, an array contributing its first
+/// element under `[]`: the flattening `scripts/bench_check.sh
+/// stats-schema` applies.
+fn flatten(v: &serde_json::Value, prefix: &str, keys: &mut BTreeSet<String>) {
+    if let Some(fields) = v.as_map() {
+        for (k, field) in fields {
+            let path = if prefix.is_empty() {
+                k.clone()
+            } else {
+                format!("{prefix}.{k}")
+            };
+            flatten(field, &path, keys);
+            keys.insert(path);
+        }
+    } else if let Some([first, ..]) = v.as_array() {
+        flatten(first, &format!("{prefix}[]"), keys);
+    }
+}
+
+/// The `stats` payload's key set and schema stamp match the committed
+/// golden, as the CI stats-schema gate checks them.
+#[test]
+fn stats_payload_keys_match_the_golden() {
+    let server = start(ServeConfig::default());
+    let reply = roundtrip(server.local_addr(), r#"{"op":"stats"}"#);
+    server.shutdown();
+    let stats: serde_json::Value = serde_json::from_str(&reply).expect("stats reply is JSON");
+    let schema = stats.get("stats_schema").and_then(|s| s.as_u64());
+    let mut keys = BTreeSet::new();
+    flatten(&stats, "", &mut keys);
+    let got = std::iter::once(format!("stats_schema={}", schema.expect("stats_schema")))
+        .chain(keys)
+        .collect::<Vec<_>>()
+        .join("\n");
+    assert_eq!(
+        got,
+        STATS_KEYS_GOLDEN.trim_end(),
+        "the stats payload drifted from tests/golden/serve_stats_keys.txt"
     );
 }
 

@@ -104,6 +104,22 @@ fn assert_stream_hygiene(frames: &[FrameRec], id: &str) {
             f.line
         );
     }
+    // The partial frame's timing row is the report's, figure for
+    // figure.
+    let report = last.field("report");
+    for partial in init.iter().filter(|f| f.ty() == "partial") {
+        for name in ["total_ms", "active_ms", "loops_ms", "loop_pct"] {
+            let early = partial.field(name).and_then(|x| x.as_f64());
+            assert!(early.is_some(), "{id}: partial without `{name}`");
+            if let Some(report) = report {
+                assert_eq!(
+                    early,
+                    report.get(name).and_then(|x| x.as_f64()),
+                    "{id}: partial and report differ in `{name}`"
+                );
+            }
+        }
+    }
     // Phases must appear in pipeline order (duplicates allowed only
     // across supervised retries, which these jobs do not take).
     let order = ["parse", "rewrite", "interp", "analyze", "report"];
