@@ -16,9 +16,13 @@
 //! * loop stamps live in an interned table (`stamps`); side tables store
 //!   `u32` stamp ids, and the stamp for the current stack is built at most
 //!   once per stack mutation instead of once per write;
-//! * accesses are recorded as fixed-size [`hooks::AccessEvent`]s in a
-//!   batch buffer and drained at ordering barriers (loop enter/iter/exit,
-//!   task begin/end, buffer full) — hook closures only append;
+//! * accesses are described by fixed-size [`hooks::AccessEvent`]s and
+//!   processed as the hook fires;
+//! * a binding's declaration stamp lives in the binding itself
+//!   ([`ceres_interp::env::Binding::stamp`]), so stamping a local is one
+//!   store into a binding the hook already resolved, not a map insert;
+//! * task read/write sets are FxHash sets and the runtime types seen per
+//!   subject are a bitmask over the `typeof` names;
 //! * characterizations are computed as per-loop bitsets ([`CharBits`]) and
 //!   expanded into rendered [`Characterization`]s only when a *new*
 //!   deduplicated warning is materialized.
@@ -197,7 +201,6 @@ pub struct Engine {
     /// every stack mutation — one stamp allocation per stack epoch, not
     /// one per access.
     cur_stamp: Option<u32>,
-    binding_stamps: FxHashMap<u64, u32>,
     object_stamps: FxHashMap<u64, u32>,
     write_snapshots: FxHashMap<(u64, Sym), u32>,
     pub warnings: Vec<Warning>,
@@ -210,12 +213,13 @@ pub struct Engine {
     pub subject_stats: FxHashMap<Sym, SubjectStats>,
 
     // --- runtime type observation (paper Sec. 2.4 / 4.2) ---
-    /// (subject, binding id) → set of runtime types written *inside
-    /// loops*. Keyed per binding so unrelated locals that share a name in
-    /// different functions don't alias; a key with more than one type
-    /// (ignoring undefined/null, per the paper's definition) is
-    /// polymorphic. Property subjects use binding id 0.
-    pub observed_types: FxHashMap<(Sym, u64), BTreeSet<&'static str>>,
+    /// (subject, binding id) → runtime types written *inside loops*, as a
+    /// bitmask over [`TYPEOF_NAMES`] (bit `i` = `TYPEOF_NAMES[i]`). Keyed
+    /// per binding so unrelated locals that share a name in different
+    /// functions don't alias; a key with more than one type (ignoring
+    /// undefined/null, per the paper's definition) is polymorphic.
+    /// Property subjects use binding id 0.
+    pub observed_types: FxHashMap<(Sym, u64), u8>,
 
     // --- task-parallelism limit study (Fortuna et al. baseline) ---
     /// Completed tasks in execution order.
@@ -247,7 +251,6 @@ impl Engine {
             focus: None,
             stamps: vec![empty_stamp()],
             cur_stamp: Some(0),
-            binding_stamps: FxHashMap::default(),
             object_stamps: FxHashMap::default(),
             write_snapshots: FxHashMap::default(),
             warnings: Vec::new(),
@@ -289,28 +292,22 @@ impl Engine {
         }
     }
 
-    // ---------------- event batching ----------------
+    // ---------------- access events ----------------
 
-    /// Record one access. Events are processed synchronously: every event
-    /// carries its access-time stamp id and the analysis maps it touches
-    /// are mutated only by events (in program order) and by the loop/task
-    /// hooks, which were already ordering barriers — so immediate
-    /// processing is observably identical to the batch-and-drain scheme
-    /// this replaces, minus the queue round-trip per access.
+    /// Record one access, in program order. Every event carries the stamp
+    /// id of the loop stack at access time.
     pub fn push_event(&mut self, ev: AccessEvent) {
         self.process_event(&ev);
     }
 
-    /// Former batch-drain barrier; processing is synchronous now, so the
-    /// barrier call sites (loop hooks, task begin/end, end of run) have
-    /// nothing left to drain.
+    /// Does nothing: accesses are processed as they are pushed, so there
+    /// is no buffer to drain. Kept only because the benchmark harness
+    /// (`perfbench/src/layers.rs`) still calls it; nothing in the
+    /// workspace does.
     pub fn flush_events(&mut self) {}
 
     fn process_event(&mut self, ev: &AccessEvent) {
         match ev.kind {
-            AccessKind::BindingStamp => {
-                self.binding_stamps.insert(ev.target, ev.stamp);
-            }
             AccessKind::ObjStamp => {
                 self.object_stamps.insert(ev.target, ev.stamp);
             }
@@ -351,7 +348,6 @@ impl Engine {
     }
 
     fn loop_enter(&mut self, id: LoopId, now: u64) {
-        self.flush_events();
         // Recursion detection (paper Sec. 3.3): same syntactic loop opened
         // again before it closed.
         if self.stack.iter().any(|e| e.loop_id == id) {
@@ -391,7 +387,6 @@ impl Engine {
     }
 
     fn iter(&mut self, id: LoopId) {
-        self.flush_events();
         // The hook sits at the top of the loop body, so the innermost open
         // loop is (in well-formed programs) the one being iterated. Scan
         // from the top for robustness under recursion taint.
@@ -402,7 +397,6 @@ impl Engine {
     }
 
     fn loop_exit(&mut self, id: LoopId, now: u64) {
-        self.flush_events();
         // Pop until we find the entry (robust under abnormal unwinding).
         while let Some(top) = self.stack.pop() {
             self.cur_stamp = None;
@@ -523,10 +517,7 @@ impl Engine {
         }
         // Unstamped binding (implicit global, host-provided):
         // conservatively "created before all loops" (the empty stamp).
-        let stamp = match self.binding_stamps.get(&ev.binding) {
-            Some(&sid) if ev.binding != 0 => self.stamp_entries(sid),
-            _ => self.stamp_entries(0),
-        };
+        let stamp = self.stamp_entries(binding_stamp_id(ev).unwrap_or(0));
         let root = cur[0].loop_id;
         if cur.len() <= CHAR_BITS_MAX_DEPTH {
             let bits = characterize_write_bits(&stamp, &cur);
@@ -558,13 +549,7 @@ impl Engine {
             Some(&sid) => self.stamp_entries(sid),
             None => self.stamp_entries(0),
         };
-        let base_stamp = if ev.binding != 0 {
-            self.binding_stamps
-                .get(&ev.binding)
-                .map(|&sid| self.stamp_entries(sid))
-        } else {
-            None
-        };
+        let base_stamp = binding_stamp_id(ev).map(|sid| self.stamp_entries(sid));
         let eff = match base_stamp {
             Some(b) if matched_prefix_len(&b, &cur) > matched_prefix_len(&obj_stamp, &cur) => b,
             _ => obj_stamp,
@@ -647,9 +632,7 @@ impl Engine {
 
     /// Record the runtime type written to `subject` (only inside loops —
     /// the paper inspects "polymorphic variable accesses … within the
-    /// computationally-intensive loops"). Called synchronously from the
-    /// hooks: type observation is a set insert, insensitive to batching
-    /// order.
+    /// computationally-intensive loops").
     fn observe_type(&mut self, subject: Sym, binding: u64, value: &Value) {
         if self.stack.is_empty() {
             return;
@@ -660,23 +643,28 @@ impl Engine {
             Value::Undefined | Value::Null => return,
             v => v.type_of(),
         };
-        self.observed_types
-            .entry((subject, binding))
-            .or_default()
-            .insert(ty);
+        let bit = TYPEOF_NAMES
+            .iter()
+            .position(|&n| n == ty)
+            .expect("Value::type_of returns a typeof name");
+        *self.observed_types.entry((subject, binding)).or_default() |= 1 << bit;
     }
 
-    /// Subjects observed with more than one runtime type inside loops.
+    /// Subjects observed with more than one runtime type inside loops,
+    /// each with its type names in sorted order.
     pub fn polymorphic_subjects(&self) -> Vec<(String, Vec<&'static str>)> {
         let mut out: Vec<(String, Vec<&'static str>)> = self
             .observed_types
             .iter()
-            .filter(|(_, tys)| tys.len() > 1)
-            .map(|((s, _), tys)| {
-                (
-                    intern::resolve(*s).to_string(),
-                    tys.iter().copied().collect(),
-                )
+            .filter(|(_, tys)| tys.count_ones() > 1)
+            .map(|((s, _), &tys)| {
+                let names = TYPEOF_NAMES
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| tys & (1 << i) != 0)
+                    .map(|(_, &n)| n)
+                    .collect();
+                (intern::resolve(*s).to_string(), names)
             })
             .collect();
         out.sort();
@@ -692,22 +680,20 @@ impl Engine {
 
     /// Open a task (nested opens fold into the outermost).
     pub fn begin_task(&mut self, label: &str, now_ticks: u64) {
-        self.flush_events();
         self.task_depth += 1;
         if self.task_depth == 1 {
             self.tasks.push(crate::tasks::TaskRecord {
                 label: label.to_string(),
                 start_ticks: now_ticks,
                 end_ticks: now_ticks,
-                reads: std::collections::HashSet::new(),
-                writes: std::collections::HashSet::new(),
+                reads: FxHashSet::default(),
+                writes: FxHashSet::default(),
             });
         }
     }
 
     /// Close the innermost task.
     pub fn end_task(&mut self, now_ticks: u64) {
-        self.flush_events();
         if self.task_depth > 0 {
             self.task_depth -= 1;
             if self.task_depth == 0 {
@@ -758,6 +744,25 @@ impl Engine {
             .filter(|w| w.nest_root == root)
             .collect()
     }
+}
+
+/// Every `typeof` name, sorted: bit `i` of an [`Engine::observed_types`]
+/// mask stands for `TYPEOF_NAMES[i]`, so walking the bits upward yields
+/// the names in sorted order.
+const TYPEOF_NAMES: [&str; 6] = [
+    "boolean",
+    "function",
+    "number",
+    "object",
+    "string",
+    "undefined",
+];
+
+/// The stamp-table id of the binding an access went through, or `None`
+/// when there is no binding or it was never stamped (implicit and host
+/// globals) — both mean "created before all loops".
+fn binding_stamp_id(ev: &AccessEvent) -> Option<u32> {
+    (ev.binding != 0 && ev.binding_stamp != 0).then_some(ev.binding_stamp)
 }
 
 /// How many leading levels of `stamp` match `current` exactly (same loop,
@@ -915,21 +920,11 @@ pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> E
             let Some(scope) = &ctx.caller_scope else {
                 return Ok(Value::Undefined);
             };
-            let mut e = eng.borrow_mut();
-            let stamp = e.current_stamp_id();
+            let stamp = eng.borrow_mut().current_stamp_id();
             for a in args {
                 if let Value::Str(name) = a {
                     if let Some(b) = scope.lookup_sym(intern::intern_rc(name)) {
-                        let id = b.borrow().id;
-                        e.push_event(AccessEvent {
-                            kind: AccessKind::BindingStamp,
-                            target: id,
-                            binding: 0,
-                            key: Sym::NONE,
-                            base: Sym::NONE,
-                            op: Sym::NONE,
-                            stamp,
-                        });
+                        b.borrow_mut().stamp = stamp;
                     }
                 }
             }
@@ -940,25 +935,22 @@ pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> E
         let eng = engine.clone();
         let i = idx(hooks::WRVAR);
         interp.register_native(hooks::WRVAR, move |interp, ctx, args| {
-            // Scope lookup + queued stamp diff against the current stack.
+            // Scope lookup + stamp diff against the current stack.
             interp.clock.tick(8);
             let name = sym_of_key(args.first().unwrap_or(&Value::Undefined));
             let op = match args.get(1) {
                 Some(Value::Str(s)) => intern::intern_rc(s),
                 _ => eq_sym,
             };
-            let binding_id = ctx
-                .caller_scope
-                .as_ref()
-                .and_then(|s| s.lookup_sym(name))
-                .map(|b| b.borrow().id);
+            let (binding_id, binding_stamp) = binding_of(ctx, name);
             let mut e = eng.borrow_mut();
             e.tally.bump(i);
             let stamp = e.current_stamp_id();
             e.push_event(AccessEvent {
                 kind: AccessKind::VarWrite,
                 target: 0,
-                binding: binding_id.unwrap_or(0),
+                binding: binding_id,
+                binding_stamp,
                 key: name,
                 base: Sym::NONE,
                 op,
@@ -968,7 +960,7 @@ pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> E
             // hook (3-argument form), observe its runtime type and pass
             // it along unchanged.
             if let Some(value) = args.get(2) {
-                e.observe_type(name, binding_id.unwrap_or(0), value);
+                e.observe_type(name, binding_id, value);
                 return Ok(value.clone());
             }
             Ok(Value::Undefined)
@@ -989,6 +981,7 @@ pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> E
                     kind: AccessKind::ObjStamp,
                     target: o.id(),
                     binding: 0,
+                    binding_stamp: 0,
                     key: Sym::NONE,
                     base: Sym::NONE,
                     op: Sym::NONE,
@@ -1002,7 +995,7 @@ pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> E
         let eng = engine.clone();
         let i = idx(hooks::GETPROP);
         interp.register_native(hooks::GETPROP, move |interp, _ctx, args| {
-            // Snapshot lookup + queued flow-dependence diff.
+            // Snapshot lookup + flow-dependence diff.
             interp.clock.tick(6);
             let obj = args.first().unwrap_or(&Value::Undefined);
             let key = sym_of_key(args.get(1).unwrap_or(&Value::Undefined));
@@ -1016,6 +1009,7 @@ pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> E
                         kind: AccessKind::PropRead,
                         target: o.id(),
                         binding: 0,
+                        binding_stamp: 0,
                         key,
                         base,
                         op: Sym::NONE,
@@ -1030,7 +1024,7 @@ pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> E
         let eng = engine.clone();
         let i = idx(hooks::SETPROP);
         interp.register_native(hooks::SETPROP, move |interp, ctx, args| {
-            // Effective-stamp diff, WAW check, snapshot update — queued.
+            // Effective-stamp diff, WAW check, snapshot update.
             interp.clock.tick(10);
             eng.borrow_mut().tally.bump(i);
             let obj = args.first().unwrap_or(&Value::Undefined);
@@ -1100,6 +1094,7 @@ pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> E
                     kind: AccessKind::PropRead,
                     target: o.id(),
                     binding: 0,
+                    binding_stamp: 0,
                     key,
                     base,
                     op: Sym::NONE,
@@ -1113,6 +1108,7 @@ pub fn attach_engine(interp: &mut Interp, mode: Mode, loops: Vec<LoopInfo>) -> E
                         kind: AccessKind::PropWrite,
                         target: o.id(),
                         binding: 0,
+                        binding_stamp: 0,
                         key: elements_sym,
                         base,
                         op: push_sym,
@@ -1156,7 +1152,7 @@ fn set_prop_fast(interp: &mut Interp, obj: &Value, key: Sym, value: Value) -> Js
     interp.set_property_sym(obj, key, value)
 }
 
-/// Queue the read half of a compound property access.
+/// Record the read half of a compound property access.
 fn record_prop_read(eng: &EngineRef, obj: &Value, key: Sym, base: Sym) {
     let Value::Object(o) = obj else { return };
     let mut e = eng.borrow_mut();
@@ -1165,6 +1161,7 @@ fn record_prop_read(eng: &EngineRef, obj: &Value, key: Sym, base: Sym) {
         kind: AccessKind::PropReadCompound,
         target: o.id(),
         binding: 0,
+        binding_stamp: 0,
         key,
         base,
         op: Sym::NONE,
@@ -1173,8 +1170,8 @@ fn record_prop_read(eng: &EngineRef, obj: &Value, key: Sym, base: Sym) {
 }
 
 /// Shared write-recording path for SETPROP/SETPROP2/UPDATE_PROP: resolve
-/// the base variable's binding id (for the effective-stamp refinement)
-/// and queue the write event.
+/// the base variable's binding (its declaration stamp drives the
+/// effective-stamp refinement) and record the write event.
 fn record_prop_write(
     eng: &EngineRef,
     ctx: &CallCtx,
@@ -1185,14 +1182,10 @@ fn record_prop_write(
     observe: Option<&Value>,
 ) {
     let Value::Object(o) = obj else { return };
-    let binding = if base.is_some() {
-        ctx.caller_scope
-            .as_ref()
-            .and_then(|s| s.lookup_sym(base))
-            .map(|b| b.borrow().id)
-            .unwrap_or(0)
+    let (binding, binding_stamp) = if base.is_some() {
+        binding_of(ctx, base)
     } else {
-        0
+        (0, 0)
     };
     let mut e = eng.borrow_mut();
     let stamp = e.current_stamp_id();
@@ -1200,6 +1193,7 @@ fn record_prop_write(
         kind: AccessKind::PropWrite,
         target: o.id(),
         binding,
+        binding_stamp,
         key,
         base,
         op,
@@ -1211,6 +1205,19 @@ fn record_prop_write(
         let subject = e.subject_sym(base, key);
         e.observe_type(subject, 0, value);
     }
+}
+
+/// Id and declaration stamp of the binding `name` resolves to from the
+/// caller's scope; `(0, 0)` when it resolves to none.
+fn binding_of(ctx: &CallCtx, name: Sym) -> (u64, u32) {
+    ctx.caller_scope
+        .as_ref()
+        .and_then(|s| s.lookup_sym(name))
+        .map(|b| {
+            let b = b.borrow();
+            (b.id, b.stamp)
+        })
+        .unwrap_or((0, 0))
 }
 
 /// Evaluate `old op value` for compound property assignment.
@@ -1240,9 +1247,7 @@ pub fn run_instrumented(source: &str, mode: Mode, seed: u64) -> JsResult<(Interp
     let mut interp = Interp::new(seed);
     ceres_dom::install_dom(&mut interp);
     let engine = attach_engine(&mut interp, mode, loops);
-    let result = interp.eval_source(&instrumented);
-    engine.borrow_mut().flush_events();
-    result?;
+    interp.eval_source(&instrumented)?;
     Ok((interp, engine))
 }
 
@@ -1543,7 +1548,6 @@ while (steps < 3) {
         let engine = attach_engine(&mut interp, Mode::Dependence, loops);
         engine.borrow_mut().focus = Some(LoopId(2));
         interp.eval_source(&instrumented).unwrap();
-        engine.borrow_mut().flush_events();
         let eng = engine.borrow();
         assert!(eng.warnings.iter().any(|w| w.subject == "b.v"));
         assert!(!eng.warnings.iter().any(|w| w.subject == "a.v"));
@@ -1584,10 +1588,10 @@ while (steps < 3) {
     }
 
     #[test]
-    fn events_drain_on_batch_overflow_mid_iteration() {
-        // One iteration performs far more accesses than EVENT_BATCH; the
-        // forced drain must preserve per-access stamps and dedup counts.
-        let n = hooks::EVENT_BATCH * 3;
+    fn long_iterations_keep_per_access_stamps_and_counts() {
+        // One iteration performs hundreds of accesses; each must keep its
+        // own access-time stamp and every one must count toward dedup.
+        let n = 768;
         let src = format!(
             "var g = 0;\n\
              var o = {{ v: 0 }};\n\
@@ -1608,6 +1612,92 @@ while (steps < 3) {
             .warnings
             .iter()
             .any(|w| w.kind == WarningKind::SharedPropWrite && w.subject == "o.v"));
+    }
+
+    /// Every warning as `kind subject [op] characterization xcount`.
+    fn rendered_warnings(eng: &Engine) -> Vec<String> {
+        eng.warnings
+            .iter()
+            .map(|w| {
+                format!(
+                    "{:?} {} {:?} {} x{}",
+                    w.kind,
+                    w.subject,
+                    w.op,
+                    render(&w.characterization, &eng.loops),
+                    w.count
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn implicit_global_bases_characterize_through_the_object_stamp() {
+        // `o` and `q` are implicit globals: no `var`, so `__ceres_declvars`
+        // never stamps their bindings. Their property writes must fall
+        // back to the object's creation stamp: `q`'s object predates the
+        // loops, `o`'s is made fresh in each outer iteration.
+        let (_interp, eng) = run(
+            "var i, j;\n\
+             q = { n: 0 };\n\
+             for (i = 0; i < 3; i++) {\n\
+               o = { v: 0 };\n\
+               for (j = 0; j < 4; j++) { o.v = j; q.n = j; }\n\
+             }",
+            Mode::Dependence,
+        );
+        let eng = eng.borrow();
+        assert_eq!(
+            rendered_warnings(&eng),
+            [
+                r#"VarWrite i Some("init") for(line 3) dependence dependence x1"#,
+                r#"VarWrite o Some("=") for(line 3) dependence dependence x3"#,
+                r#"VarWrite j Some("init") for(line 3) dependence dependence -> for(line 5) dependence dependence x3"#,
+                r#"SharedPropWrite o.v Some("=") for(line 3) ok ok -> for(line 5) ok dependence x12"#,
+                r#"SharedPropWrite q.n Some("=") for(line 3) dependence dependence -> for(line 5) dependence dependence x12"#,
+                r#"VarWrite j Some("++") for(line 3) dependence dependence -> for(line 5) dependence dependence x12"#,
+                "WawWrite o.v None for(line 3) ok ok -> for(line 5) ok dependence x9",
+                "WawWrite q.n None for(line 3) ok ok -> for(line 5) ok dependence x9",
+                r#"VarWrite i Some("++") for(line 3) dependence dependence x3"#,
+                "WawWrite q.n None for(line 3) ok dependence -> for(line 5) dependence dependence x2",
+            ],
+            "implicit-global warnings moved"
+        );
+    }
+
+    #[test]
+    fn host_global_bases_characterize_through_the_object_stamp() {
+        // `host` is declared by the embedder, not by the program, so its
+        // binding is never stamped and its object never wrapped.
+        let src = "var i;\n\
+                   var local = { k: 0 };\n\
+                   for (i = 0; i < 5; i++) { host.n = i; host.m += i; local.k = host.n; }";
+        let (instrumented, loops) =
+            ceres_instrument::instrument_source(src, Mode::Dependence).unwrap();
+        let mut interp = Interp::new(42);
+        ceres_dom::install_dom(&mut interp);
+        let engine = attach_engine(&mut interp, Mode::Dependence, loops);
+        let host = ceres_interp::value::new_object();
+        host.set_prop("n", Value::Num(0.0));
+        host.set_prop("m", Value::Num(0.0));
+        interp.register_global("host", Value::Object(host));
+        interp.eval_source(&instrumented).unwrap();
+        let eng = engine.borrow();
+        assert_eq!(
+            rendered_warnings(&eng),
+            [
+                r#"VarWrite i Some("init") for(line 3) dependence dependence x1"#,
+                r#"SharedPropWrite host.n Some("=") for(line 3) dependence dependence x5"#,
+                r#"SharedPropWrite host.m Some("+") for(line 3) dependence dependence x5"#,
+                r#"SharedPropWrite local.k Some("=") for(line 3) dependence dependence x5"#,
+                r#"VarWrite i Some("++") for(line 3) dependence dependence x5"#,
+                "WawWrite host.n None for(line 3) ok dependence x4",
+                "FlowRead host.m None for(line 3) ok dependence x4",
+                "WawWrite host.m None for(line 3) ok dependence x4",
+                "WawWrite local.k None for(line 3) ok dependence x4",
+            ],
+            "host-global warnings moved"
+        );
     }
 
     #[test]
@@ -1684,13 +1774,42 @@ mod polymorphism_tests {
         let poly = eng.polymorphic_subjects();
         assert!(poly.is_empty(), "{poly:?}");
         // n was observed, with exactly one type.
-        let n_types: Vec<usize> = eng
+        let n_types: Vec<u32> = eng
             .observed_types
             .iter()
             .filter(|((name, _), _)| &*intern::resolve(*name) == "n")
-            .map(|(_, tys)| tys.len())
+            .map(|(_, tys)| tys.count_ones())
             .collect();
         assert_eq!(n_types, vec![1]);
+    }
+
+    #[test]
+    fn every_typeof_name_is_reported_in_sorted_order() {
+        // `x` takes all five non-nullish typeof names (plus undefined and
+        // null, which carry no type); `y` mixes a number with nullish
+        // values only, so it stays monomorphic even though typeof null is
+        // "object".
+        let (_interp, eng) = run_instrumented(
+            "var x = 0;\n\
+             var y = 0;\n\
+             var vals = [\"s\", {}, 1, function () {}, undefined, true, null];\n\
+             var i;\n\
+             for (i = 0; i < vals.length; i++) {\n\
+               x = vals[i];\n\
+               y = i % 3 === 0 ? i : (i % 3 === 1 ? null : undefined);\n\
+             }",
+            Mode::Dependence,
+            1,
+        )
+        .unwrap();
+        let eng = eng.borrow();
+        assert_eq!(
+            eng.polymorphic_subjects(),
+            vec![(
+                "x".to_string(),
+                vec!["boolean", "function", "number", "object", "string"]
+            )]
+        );
     }
 
     #[test]

@@ -332,7 +332,6 @@ pub fn analyze(
     main_result?;
     interaction(&mut interp, &dom)?;
     interp.run_events(opts.max_events)?;
-    engine.borrow_mut().flush_events();
     steps.push("4: user exercises the app; instrumentation gathers results".to_string());
     // Wall-only sub-span: time the VM backend spent lowering the AST to
     // bytecode, filed inside the interp window. Sub-spans are dropped from

@@ -1,5 +1,5 @@
 //! Names of the host functions the rewriter inserts, and the fixed-size
-//! access records the engine batches between hook calls.
+//! access records the dependence hooks hand to the engine.
 //!
 //! `ceres-core` registers natives under these names; keeping the constants
 //! in one place prevents instrument/engine drift.
@@ -135,22 +135,13 @@ impl HookTally {
 }
 
 // ----------------------------------------------------------------------
-// Batched access records
+// Access records
 // ----------------------------------------------------------------------
 
-/// How many [`AccessEvent`]s the engine buffers before a forced drain.
-///
-/// Draining also happens at every ordering barrier (loop enter/iter/exit,
-/// task begin/end, host access), so the batch never reorders analysis
-/// state relative to those events; the cap only bounds memory for long
-/// straight-line runs of accesses.
-pub const EVENT_BATCH: usize = 256;
-
-/// What an [`AccessEvent`] records.
+/// What an [`AccessEvent`] records. Binding stamps are not events: the
+/// [`DECLVARS`] hook writes them straight into the binding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
-    /// Stamp a binding with the loop stack at declaration ([`DECLVARS`]).
-    BindingStamp,
     /// Stamp a freshly created object ([`WRAP`]).
     ObjStamp,
     /// A write to a named variable ([`WRVAR`]).
@@ -167,9 +158,8 @@ pub enum AccessKind {
 }
 
 /// One recorded access: a fixed-size `Copy` struct keyed by interned
-/// [`Sym`]s instead of owned strings, so the dependence hooks append to a
-/// buffer without allocating and the engine processes whole batches with
-/// warm caches.
+/// [`Sym`]s instead of owned strings, so a dependence hook describes its
+/// access to the engine without allocating.
 ///
 /// Absent fields use sentinels rather than `Option` wrappers to keep the
 /// struct flat: [`Sym::NONE`] for missing names, `0` for missing ids
@@ -178,12 +168,15 @@ pub enum AccessKind {
 pub struct AccessEvent {
     /// Which access this records.
     pub kind: AccessKind,
-    /// Object id (`PropRead`/`PropWrite`/`ObjStamp`) or binding id
-    /// (`BindingStamp`).
+    /// Object id (`PropRead`/`PropWrite`/`ObjStamp`).
     pub target: u64,
     /// `VarWrite`: the written binding's id; `PropWrite`: the binding id
     /// of the base variable (for creation-stamp lookup). `0` = none.
     pub binding: u64,
+    /// Stamp-table id the engine wrote into that binding at declaration,
+    /// read off the binding by the hook; `0` = never stamped (implicit
+    /// and host globals) or no binding.
+    pub binding_stamp: u32,
     /// Property key (`Prop*`) or variable name (`VarWrite`).
     pub key: Sym,
     /// Base variable the object was reached through, when the rewriter
@@ -192,8 +185,7 @@ pub struct AccessEvent {
     /// Spelling of the operation (`"="`, `"+="`, `"++"`, `"push"`, …) for
     /// the difficulty classifier; [`Sym::NONE`] for reads.
     pub op: Sym,
-    /// Engine stamp-table id of the loop stack *at access time* — batching
-    /// must not smear accesses onto a later stack.
+    /// Engine stamp-table id of the loop stack at access time.
     pub stamp: u32,
 }
 
@@ -205,7 +197,7 @@ mod tests {
     fn access_events_are_small_and_copy() {
         fn assert_copy<T: Copy>() {}
         assert_copy::<AccessEvent>();
-        // Fixed-size and cache-friendly: a batch of 256 stays under 16 KiB.
+        // Fixed-size: passed by value on every dependence hook call.
         assert!(std::mem::size_of::<AccessEvent>() <= 64);
     }
 

@@ -6,8 +6,8 @@
 //! global scope and a one-binding scope for `catch` parameters); blocks and
 //! loop bodies do *not* create scopes.
 //!
-//! Every [`Binding`] carries a unique id so the dependence analysis can
-//! stamp bindings with the loop context at creation time.
+//! Every [`Binding`] carries a unique id and a stamp word so the dependence
+//! analysis can stamp bindings with the loop context at creation time.
 
 use crate::intern::{intern, FxHashMap, Sym};
 use crate::value::Value;
@@ -20,6 +20,10 @@ pub struct Binding {
     pub id: u64,
     /// Current value.
     pub value: Value,
+    /// Loop-stack stamp id written by an attached analysis engine when the
+    /// binding is declared; `0` = never stamped. The interpreter itself
+    /// never reads it.
+    pub stamp: u32,
 }
 
 /// Shared handle to one binding.
@@ -82,6 +86,7 @@ impl Scope {
         let binding = Rc::new(RefCell::new(Binding {
             id: next_binding_id(),
             value,
+            stamp: 0,
         }));
         vars.insert(name, binding.clone());
         binding

@@ -5,8 +5,13 @@
 #       Run `repro bench` against the committed baseline (BENCH_0007.json)
 #       and fail if the dependence-mode overhead geomean regresses by more
 #       than 10%. The geomean is virtual-clock-denominated, so the gate is
-#       deterministic and safe on throttled CI runners; wall times are
-#       recorded in the artifact for humans but never gated on.
+#       deterministic and safe on throttled CI runners. Wall time is gated
+#       only as a same-run ratio: dependence-mode wall over loop-profile
+#       wall, both best-of-reps from the current entry, must stay at or
+#       under MAX_DEP_LOOP_WALL_RATIO. Both passes run the same parse,
+#       rewrite and VM path on the same machine minutes apart, so the ratio
+#       isolates the dependence engine's cost and carries across machines
+#       where absolute milliseconds do not.
 #
 #   bench_check.sh fleet
 #       Fleet parallel-speedup gate (nightly CI): run the fleet analyzer
@@ -50,6 +55,7 @@ overhead)
     BASELINE=${BENCH_BASELINE:-BENCH_0007.json}
     OUT=${BENCH_OUT:-BENCH_ci.json}
     MAX_REGRESSION=${BENCH_MAX_REGRESSION:-1.10}
+    MAX_DEP_LOOP_WALL_RATIO=1.99
 
     cargo build --release --bin repro
 
@@ -63,10 +69,11 @@ overhead)
 
     target/release/repro bench --json "$OUT" --baseline "$BASELINE" --label ci
 
-    python3 - "$OUT" "$MAX_REGRESSION" <<'EOF'
+    python3 - "$OUT" "$MAX_REGRESSION" "$MAX_DEP_LOOP_WALL_RATIO" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 limit = float(sys.argv[2])
+max_wall_ratio = float(sys.argv[3])
 entries = report["entries"]
 if len(entries) < 2:
     sys.exit("FAIL: bench report has no baseline entry to compare against")
@@ -85,6 +92,21 @@ print(f"dependence overhead geomean: baseline[{base['label']}]={b:.4f}x "
 if ratio > limit:
     sys.exit(f"FAIL: overhead geomean regressed {ratio:.3f}x > allowed {limit}x")
 print(f"OK: within the {limit}x regression budget")
+
+def wall_ms(entry, mode):
+    for m in entry["modes"]:
+        if m["mode"] == mode:
+            return m["wall_ms"]
+    sys.exit(f"FAIL: entry {entry['label']!r} has no {mode} mode")
+
+dep_ms, loop_ms = wall_ms(cur, "Dependence"), wall_ms(cur, "LoopProfile")
+wall_ratio = dep_ms / loop_ms
+print(f"same-run wall: Dependence={dep_ms:.1f} ms LoopProfile={loop_ms:.1f} ms "
+      f"(ratio {wall_ratio:.3f}, bound {max_wall_ratio})")
+if wall_ratio > max_wall_ratio:
+    sys.exit(f"FAIL: dependence/loop-profile wall ratio {wall_ratio:.3f} "
+             f"> allowed {max_wall_ratio}")
+print(f"OK: dependence wall within {max_wall_ratio}x of loop-profile wall")
 EOF
     ;;
 
