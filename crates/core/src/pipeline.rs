@@ -415,8 +415,11 @@ pub struct PreparedSource {
 /// exec stage re-lowers from the same source text — jobs must stay
 /// self-contained single-line specs so they can cross a worker-process
 /// boundary and be replayed from the spill file after a crash — which
-/// keeps this stage pure validation + progress; parse cost is microseconds
-/// against interp's hundreds of milliseconds.
+/// keeps this stage pure validation + progress. The repeat is not free:
+/// the parser runs at about 11 KB/ms (perfbench `serve-mix`, traced, on
+/// a 2-core VM), so a ≈100 KB library source spends about 10 ms in
+/// `parse` and about 5 ms in `rewrite`, both paid again by the exec
+/// stage.
 pub fn prepare_source(source: &str, mode: Mode) -> Result<PreparedSource, String> {
     let mut recorder = crate::obs::SpanRecorder::new();
     let combined_source = if source.trim_start().starts_with('<') {

@@ -692,6 +692,10 @@ pub struct ServeConfig {
     pub default_mode: Mode,
     /// Seed used when a request omits `seed`.
     pub default_seed: u64,
+    /// Most client connections served at once (at least 1). A
+    /// connection accepted at the cap gets one `too many connections`
+    /// error line and is closed.
+    pub max_connections: usize,
 }
 
 impl Default for ServeConfig {
@@ -707,6 +711,7 @@ impl Default for ServeConfig {
             policy: FleetPolicy::default(),
             default_mode: Mode::LoopProfile,
             default_seed: 2015,
+            max_connections: 256,
         }
     }
 }
@@ -1042,10 +1047,15 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
         if shared.draining.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(mut stream) = stream else { continue };
         // Forget handlers whose connection already ended, so the list
         // tracks live connections rather than every one ever accepted.
         handlers.retain(|h: &std::thread::JoinHandle<()>| !h.is_finished());
+        if handlers.len() >= shared.config.max_connections.max(1) {
+            // At the cap: refuse before reading anything, then hang up.
+            let _ = write_line(&mut stream, &error_line("", "too many connections"));
+            continue;
+        }
         let shared = Arc::clone(shared);
         if let Ok(h) = std::thread::Builder::new()
             .name("jsceresd-conn".to_string())
@@ -1133,8 +1143,10 @@ fn stage_parse(shared: &Arc<Shared>, item: QueuedJob) {
     };
     // One-shot jobs skip the front half (the exec stage re-parses
     // internally anyway, and their failure bytes must stay identical to
-    // the pre-pipeline server); streaming jobs pay a microseconds-scale
-    // double parse to get early frames and early rejection.
+    // the pre-pipeline server); streaming jobs pay a second parse and
+    // rewrite to get early frames and early rejection. At about 11 KB/ms
+    // of parse that is some 15 ms for a ≈100 KB library source (see
+    // `pipeline::prepare_source`).
     if item.stream {
         match crate::pipeline::prepare_source(&prepared.source, prepared.opts.mode) {
             Ok(front) => {
@@ -1288,6 +1300,9 @@ fn execute_job(
 /// connection is closed.
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
+    // Every reply line and frame is flushed on purpose as one write, so
+    // Nagle's algorithm could only hold a stream's next frame back.
+    let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -1336,11 +1351,20 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Write one response line and flush (the protocol is line-delimited;
-/// a streaming client acts on each frame as it lands).
-fn write_line(out: &mut dyn Write, line: &str) -> std::io::Result<()> {
-    out.write_all(line.as_bytes())?;
-    out.write_all(b"\n")?;
+/// Write one wire line and flush it, so a streaming client can act on
+/// each frame as it lands. The line and its newline leave from one
+/// buffer in a single `write_all`; every line-delimited writer of the
+/// serving stack (client replies and frames, the supervisor's job line
+/// to a worker, a worker's lines back) goes through here. A separate
+/// newline write would be the write-write-read pattern: on a socket,
+/// Nagle's algorithm holds the lone newline until the peer ACKs the
+/// line, and the peer delays that ACK (~40 ms) because it has no whole
+/// line to answer yet.
+pub(crate) fn write_line(out: &mut (impl Write + ?Sized), line: &str) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    out.write_all(&buf)?;
     out.flush()
 }
 
@@ -1685,13 +1709,18 @@ mod tests {
     /// none; job execution is tested against real workers in the
     /// integration tests.
     fn start_wire_only() -> ServerHandle {
+        start_wire_only_with(ServeConfig::default())
+    }
+
+    /// [`start_wire_only`] under the given configuration.
+    fn start_wire_only_with(config: ServeConfig) -> ServerHandle {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let resolver: Resolver = Arc::new(|_, _| Err("wire-level test server runs no jobs".into()));
         let spec = WorkerSpec {
             program: PathBuf::from("/nonexistent/jsceresd-worker"),
             args: Vec::new(),
         };
-        serve(listener, ServeConfig::default(), resolver, spec)
+        serve(listener, config, resolver, spec)
     }
 
     /// Set in the environment of the worker processes [`start`] spawns;
@@ -2031,6 +2060,146 @@ mod tests {
             0,
             "connection must close after the refusal: {rest}"
         );
+        server.shutdown();
+    }
+
+    /// Sequential pings on one connection, with default socket options on
+    /// the client, answer far inside the ~40 ms delayed-ACK timer. A reply
+    /// sent as two segments (the line, then its newline) would sit behind
+    /// that timer: Nagle's algorithm holds the second segment until the
+    /// client ACKs the first, and the client delays that ACK because it has
+    /// no whole line to answer yet.
+    #[test]
+    fn pings_answer_under_the_delayed_ack_timer() {
+        let server = start_wire_only();
+        let (mut stream, mut reader) = connect(server.local_addr());
+        let mut round_trips: Vec<Duration> = (0..20)
+            .map(|i| {
+                let sent = std::time::Instant::now();
+                stream
+                    .write_all(format!("{{\"op\":\"ping\",\"id\":\"p{i}\"}}\n").as_bytes())
+                    .expect("send");
+                let pong = read_reply(&mut reader);
+                assert!(pong.contains("\"ok\":true"), "{pong}");
+                sent.elapsed()
+            })
+            .collect();
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < Duration::from_millis(20),
+            "median ping round trip {median:?} (all: {round_trips:?})"
+        );
+        server.shutdown();
+    }
+
+    /// A `Write` that counts `write` calls and keeps every byte.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The line helper and `FrameWriter::send` each hand a whole line,
+    /// newline included, to exactly one `write` call.
+    #[test]
+    fn every_wire_line_leaves_in_one_write() {
+        let mut out = CountingWriter::default();
+        write_line(&mut out, r#"{"ok":true}"#).expect("write line");
+        assert_eq!(out.writes, 1);
+        assert_eq!(out.bytes, b"{\"ok\":true}\n");
+
+        let server = start_wire_only();
+        let mut out = CountingWriter::default();
+        let mut fw = FrameWriter {
+            out: &mut out,
+            shared: &server.shared,
+            schema: API_SCHEMA_VERSION,
+            id: "w",
+            seq: 0,
+        };
+        fw.send(&Frame::Accepted { queue_depth: 0 })
+            .expect("accepted");
+        fw.send(&Frame::Error {
+            fragment: error_fragment("refused"),
+        })
+        .expect("error");
+        assert_eq!(out.writes, 2);
+        let text = String::from_utf8(out.bytes).expect("utf-8");
+        assert_eq!(text.lines().count(), 2, "{text}");
+        assert!(text.ends_with('\n'), "{text}");
+        server.shutdown();
+    }
+
+    /// With a cap of two connections, a third one gets one `too many
+    /// connections` line and is closed; once a client hangs up, a new
+    /// connection is served again.
+    #[test]
+    fn connections_over_the_cap_are_refused_until_one_ends() {
+        let server = start_wire_only_with(ServeConfig {
+            max_connections: 2,
+            ..ServeConfig::default()
+        });
+        let addr = server.local_addr();
+        let ping = |stream: &mut TcpStream, reader: &mut BufReader<TcpStream>| {
+            stream.write_all(b"{\"op\":\"ping\"}\n")?;
+            let mut reply = String::new();
+            reader.read_line(&mut reply).map(|_| reply)
+        };
+
+        // A served ping proves each handler is live before the third
+        // client connects.
+        let (mut first, mut first_reader) = connect(addr);
+        let (mut second, mut second_reader) = connect(addr);
+        for (stream, reader) in [
+            (&mut first, &mut first_reader),
+            (&mut second, &mut second_reader),
+        ] {
+            let pong = ping(stream, reader).expect("ping under the cap");
+            assert!(pong.contains("\"ok\":true"), "{pong}");
+        }
+
+        let (_third, mut third_reader) = connect(addr);
+        let refused = read_reply(&mut third_reader);
+        assert!(refused.contains("\"ok\":false"), "{refused}");
+        assert!(refused.contains("too many connections"), "{refused}");
+        let mut rest = String::new();
+        assert_eq!(
+            third_reader
+                .read_line(&mut rest)
+                .expect("read after refusal"),
+            0,
+            "connection must close after the refusal: {rest}"
+        );
+
+        // The first client hangs up. Its handler ends on its next read,
+        // and the accept loop notices at the next accept, so retry a
+        // little; a refused or reset attempt is simply tried again.
+        drop((first, first_reader));
+        let served = (0..50).any(|_| {
+            let (mut stream, mut reader) = connect(addr);
+            let answered =
+                ping(&mut stream, &mut reader).is_ok_and(|reply| reply.contains("\"ok\":true"));
+            if !answered {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            answered
+        });
+        assert!(served, "a connection after a hang-up must be served");
+        let pong = ping(&mut second, &mut second_reader).expect("ping");
+        assert!(pong.contains("\"ok\":true"), "{pong}");
         server.shutdown();
     }
 

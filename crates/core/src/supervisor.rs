@@ -46,7 +46,9 @@
 
 use crate::fleet::{supervise, JobWork};
 use crate::obs::Progress;
-use crate::serve::{job_fragment, resolve_job_line, result_fragment, Frame, Resolver, ServeConfig};
+use crate::serve::{
+    job_fragment, resolve_job_line, result_fragment, write_line, Frame, Resolver, ServeConfig,
+};
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -153,9 +155,7 @@ impl WorkerChild {
         wire: &str,
         on_frame: &mut dyn FnMut(Frame),
     ) -> std::io::Result<WorkerResponse> {
-        self.stdin.write_all(wire.as_bytes())?;
-        self.stdin.write_all(b"\n")?;
-        self.stdin.flush()?;
+        write_line(&mut self.stdin, wire)?;
         let mut line = String::new();
         loop {
             line.clear();
@@ -362,8 +362,7 @@ pub fn worker_serve_stdio(config: &ServeConfig, resolver: &Resolver) -> std::io:
 /// Write one line to the supervisor pipe and flush it.
 fn send_line(out: &mut impl Write, line: &WorkerLine) -> std::io::Result<()> {
     let text = serde_json::to_string(line).expect("worker lines serialize");
-    writeln!(out, "{text}")?;
-    out.flush()
+    write_line(out, &text)
 }
 
 /// Wrap a job's work so each supervised attempt emits frame lines to

@@ -25,7 +25,11 @@
 #       on the default bytecode VM — and fail unless the analysis reports
 #       are byte-for-byte identical after dropping the two fields that are
 #       allowed to differ: wall-clock timings (nondeterministic) and the
-#       VM-only `interp.compile` phase span.
+#       VM-only `interp.compile` phase span. Wall time is gated as a
+#       same-run ratio: the tree-walker fleet's summed per-app `wall_ms`
+#       over the VM fleet's must stay at or above MIN_TREE_VM_WALL_RATIO.
+#       Both fleets run the same apps minutes apart on one machine, so the
+#       ratio carries across machines where absolute milliseconds do not.
 #
 #   bench_check.sh stats-schema
 #       Serving stats-schema gate: start jsceresd, fetch `{"op":"stats"}`,
@@ -139,6 +143,7 @@ EOF
     ;;
 
 vm-equivalence)
+    MIN_TREE_VM_WALL_RATIO=1.30
     OUT_DIR=$(mktemp -d)
     trap 'rm -rf "$OUT_DIR"' EXIT
 
@@ -149,7 +154,7 @@ vm-equivalence)
     CERES_INTERP_BACKEND=tree \
         target/release/repro fleet --sequential --json "$OUT_DIR/tree.json" > /dev/null
 
-    python3 - "$OUT_DIR/vm.json" "$OUT_DIR/tree.json" <<'EOF'
+    python3 - "$OUT_DIR/vm.json" "$OUT_DIR/tree.json" "$MIN_TREE_VM_WALL_RATIO" <<'EOF'
 import json, sys
 
 def normalize(o):
@@ -162,7 +167,12 @@ def normalize(o):
                 if not (isinstance(x, dict) and x.get("phase") == "interp.compile")]
     return o
 
-vm, tree = (normalize(json.load(open(p))) for p in sys.argv[1:3])
+def fleet_wall_ms(report):
+    return sum(app["report"]["wall_ms"] for app in report["apps"])
+
+raw_vm, raw_tree = (json.load(open(p)) for p in sys.argv[1:3])
+min_ratio = float(sys.argv[3])
+vm, tree = normalize(raw_vm), normalize(raw_tree)
 a = json.dumps(vm, indent=1, sort_keys=True)
 b = json.dumps(tree, indent=1, sort_keys=True)
 if a != b:
@@ -174,6 +184,14 @@ if a != b:
              f"({len(diff)} diff lines, first 80 above)")
 print(f"OK: VM and tree-walker reports identical ({len(a.splitlines())} "
       "normalized lines; only wall timings and the interp.compile span differ)")
+
+vm_ms, tree_ms = fleet_wall_ms(raw_vm), fleet_wall_ms(raw_tree)
+ratio = tree_ms / vm_ms
+print(f"fleet wall: tree-walker {tree_ms:.1f} ms / VM {vm_ms:.1f} ms = {ratio:.2f}x "
+      f"(floor {min_ratio:.2f}x)")
+if ratio < min_ratio:
+    sys.exit(f"FAIL: the VM is only {ratio:.2f}x faster than the tree-walker "
+             f"(floor {min_ratio:.2f}x)")
 EOF
     ;;
 
